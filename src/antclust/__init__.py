@@ -5,7 +5,7 @@ with an ant-colony search and four classical baselines, checks results
 against an exhaustive oracle, and benchmarks everything over seeded sweeps.
 """
 
-from .aco import AcoParams, AcoSolution, PheromoneState, construct_solution, solve
+from .aco import AcoParams, AcoSolution, construct_solution, solve
 from .baselines import WcaParams, highest_degree, kconid, lowest_id, wca, wca_node_weight
 from .clustering import (
     Clustering,
@@ -43,7 +43,6 @@ __all__ = [
     "NodeNotFoundError",
     "OracleResult",
     "ParseError",
-    "PheromoneState",
     "RunRow",
     "Topology",
     "TopologyConfig",

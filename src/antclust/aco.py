@@ -4,10 +4,10 @@ Each ant incrementally builds a head set: starting from a forced first head,
 it repeatedly picks the next head among useful candidates (nodes that would
 newly cover at least one node) with probability proportional to
 
-    score(v) = alpha * visibility(v) + beta * pheromone(v)
+    score(v) = alpha * gain(v) + beta * pheromone(v)
 
-where visibility(v) is the number of nodes v would newly cover (or the
-static weight degree(v) + 1 when dynamic visibility is off). After each
+where gain(v) is the number of nodes v would newly cover; pheromone is a
+plain non-negative float array with one entry per node. After each
 iteration the iteration's best set is improved by a deterministic 2-for-1
 local search (replace two heads by one node while the set still dominates),
 then it deposits pheromone on its heads; pheromone evaporates at a fixed
@@ -16,7 +16,7 @@ rate. The smallest head set seen anywhere is returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,15 +28,11 @@ from .geomgraph import Topology
 class AcoParams:
     """Tunables for the ant-colony solver.
 
-    alpha scales the visibility term, beta scales the pheromone
+    alpha scales the coverage gain, beta scales the pheromone
     concentration. ``greedy`` switches the per-step choice from
-    roulette-wheel sampling to a deterministic argmax, ``dynamic_visibility``
-    scores candidates by their current coverage gain (when off, by the
-    static weight degree + 1), and ``neighbor_restricted`` prefers
-    candidates adjacent to the previous head.
-    ``iterations`` defaults to the node count when None. ``final_greedy``
-    answers with one last deterministic construction under the final
-    pheromone instead of the best set found.
+    roulette-wheel sampling to a deterministic argmax (ties to the lowest
+    id); it runs one construction per iteration, since all ants would
+    coincide. ``iterations`` defaults to the node count when None.
     """
 
     alpha: float = 9.0
@@ -45,9 +41,6 @@ class AcoParams:
     evaporation_rate: float = 0.1
     deposit_quantum: float = 1.0
     greedy: bool = False
-    dynamic_visibility: bool = True
-    neighbor_restricted: bool = False
-    final_greedy: bool = False
     iterations: int | None = None
     seed: int = 0
 
@@ -68,38 +61,6 @@ class AcoParams:
             raise ConfigurationError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
-class PheromoneState:
-    """Per-node pheromone concentrations; starts at zero everywhere."""
-
-    __slots__ = ("_values",)
-
-    def __init__(self, values) -> None:
-        arr = np.array(values, dtype=float)
-        if arr.ndim != 1:
-            raise ConfigurationError("pheromone values must be one-dimensional")
-        if (arr < 0).any() or not np.isfinite(arr).all():
-            raise ConfigurationError("pheromone values must be finite and >= 0")
-        arr.flags.writeable = False
-        self._values = arr
-
-    @classmethod
-    def zeros(cls, n: int) -> "PheromoneState":
-        return cls(np.zeros(n))
-
-    @property
-    def values(self) -> np.ndarray:
-        return self._values
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    def __getitem__(self, v) -> float:
-        return float(self._values[v])
-
-    def as_dict(self) -> dict[int, float]:
-        return {i: float(x) for i, x in enumerate(self._values)}
-
-
 @dataclass(frozen=True)
 class AcoSolution:
     heads: frozenset[int]
@@ -111,56 +72,66 @@ class AcoSolution:
         return len(self.heads)
 
 
-def node_weight(t: Topology, v) -> float:
-    """Static selection weight of a node: degree + 1."""
-    return float(t.degree(v) + 1)
+def _checked_pheromone(ph: np.ndarray, n: int | None = None) -> np.ndarray:
+    ph = np.asarray(ph, dtype=float)
+    if ph.ndim != 1:
+        raise ConfigurationError("pheromone values must be one-dimensional")
+    if n is not None and len(ph) != n:
+        raise ConfigurationError(f"pheromone array has {len(ph)} entries for a {n}-node topology")
+    if (ph < 0).any() or not np.isfinite(ph).all():
+        raise ConfigurationError("pheromone values must be finite and >= 0")
+    return ph
 
 
-def coverage_gain(t: Topology, covered, v) -> int:
-    """How many not-yet-covered nodes a head at v would newly cover."""
-    v = t._check_id(v)
-    return len(t.closed_neighborhood(v) - set(covered))
+def _scores(params: AcoParams, gains: np.ndarray, ph_scores: np.ndarray, cand: np.ndarray) -> np.ndarray:
+    """alpha * gain + beta * pheromone over ``cand``, given ph_scores = beta * pheromone."""
+    return params.alpha * gains[cand] + ph_scores[cand]
 
 
-def selection_probability(t: Topology, ph: PheromoneState, params: AcoParams, candidates) -> dict[int, float]:
+def selection_probability(t: Topology, ph: np.ndarray, params: AcoParams, candidates, covered=()) -> dict[int, float]:
     """Normalized selection probabilities over the candidate set.
 
-    P(v) = (weight(v)*alpha + pheromone(v)*beta) / sum over candidates of the same.
+    P(v) = (alpha * gain(v) + beta * pheromone(v)) / sum over candidates of
+    the same, where gain(v) counts the nodes of v's closed neighbourhood
+    outside ``covered`` (degree + 1 when nothing is covered). These are the
+    scores ``construct_solution`` samples from.
     """
     params.validate()
+    ph = _checked_pheromone(ph, t.n)
     cand = sorted({t._check_id(v) for v in candidates})
     if not cand:
         raise ValueError("candidates must be non-empty")
-    if len(ph) != t.n:
-        raise ConfigurationError(f"pheromone state has {len(ph)} entries for a {t.n}-node topology")
-    idx = np.array(cand, dtype=np.int64)
-    scores = params.alpha * (t.degrees[idx] + 1.0) + params.beta * ph.values[idx]
+    uncovered = np.ones(t.n, dtype=bool)
+    uncovered[[t._check_id(v) for v in covered]] = False
+    gains = t.closed_neighborhood_matrix[:, uncovered].sum(axis=1)
+    scores = _scores(params, gains, params.beta * ph, np.array(cand, dtype=np.int64))
     total = float(scores.sum())
     if total <= 0:
         raise ValueError("degenerate input: all selection scores are zero")
     return {int(v): float(s) / total for v, s in zip(cand, scores)}
 
 
-def update_pheromone(ph: PheromoneState, best_heads, params: AcoParams) -> PheromoneState:
-    """Evaporate everywhere, then reinforce the given heads.
+def update_pheromone(ph: np.ndarray, best_heads, params: AcoParams) -> np.ndarray:
+    """Evaporate everywhere, then reinforce the given heads; returns a new array.
 
     Every value is multiplied by (1 - evaporation_rate); each head then
     receives deposit_quantum * n / |best_heads|, so smaller head sets are
     reinforced more strongly per node.
     """
     params.validate()
+    ph = _checked_pheromone(ph)
     heads = sorted({int(v) for v in best_heads})
     if not heads:
         raise ValueError("best_heads must be non-empty")
     n = len(ph)
     if heads[0] < 0 or heads[-1] >= n:
         raise ValueError(f"head ids must be within 0..{n - 1}")
-    values = ph.values * (1.0 - params.evaporation_rate)
+    values = ph * (1.0 - params.evaporation_rate)
     values[heads] += params.deposit_quantum * n / len(heads)
-    return PheromoneState(values)
+    return values
 
 
-def construct_solution(t: Topology, ph: PheromoneState, params: AcoParams, start, rng) -> set[int]:
+def construct_solution(t: Topology, ph: np.ndarray, params: AcoParams, start, rng) -> set[int]:
     """Build one dominating head set, beginning with a forced head at ``start``.
 
     Candidates at each step are the non-head nodes that would newly cover at
@@ -169,12 +140,9 @@ def construct_solution(t: Topology, ph: PheromoneState, params: AcoParams, start
     """
     params.validate()
     start = t._check_id(start)
-    if len(ph) != t.n:
-        raise ConfigurationError(f"pheromone state has {len(ph)} entries for a {t.n}-node topology")
+    ph = _checked_pheromone(ph, t.n)
     closed = t.closed_neighborhood_matrix
-    adj = t.adjacency_matrix
-    static_scores = params.alpha * (t.degrees + 1.0)
-    ph_scores = params.beta * ph.values
+    ph_scores = params.beta * ph
 
     # gains[v] = how many currently uncovered nodes v would newly cover,
     # maintained incrementally: when w becomes covered, every node that
@@ -190,17 +158,9 @@ def construct_solution(t: Topology, ph: PheromoneState, params: AcoParams, start
 
     heads = [start]
     add_head(start)
-    last = start
     while not covered.all():
         cand = np.flatnonzero(gains > 0)  # ascending ids: argmax ties go to the lowest id
-        if params.neighbor_restricted:
-            local = cand[adj[last, cand]]
-            if local.size:
-                cand = local
-        if params.dynamic_visibility:
-            scores = params.alpha * gains[cand] + ph_scores[cand]
-        else:
-            scores = static_scores[cand] + ph_scores[cand]
+        scores = _scores(params, gains, ph_scores, cand)
         if params.greedy:
             pick = int(cand[int(np.argmax(scores))])
         else:
@@ -213,7 +173,6 @@ def construct_solution(t: Topology, ph: PheromoneState, params: AcoParams, start
                 pick = int(cand[min(pos, len(cand) - 1)])
         heads.append(pick)
         add_head(pick)
-        last = pick
 
     # minimalize: drop heads made redundant by later picks (never the forced
     # start), newest first so early structural picks are kept
@@ -284,7 +243,7 @@ def solve(t: Topology, params: AcoParams | None = None) -> AcoSolution:
     # would coincide; one construction is enough
     ants = 1 if params.greedy else params.ants
 
-    ph = PheromoneState.zeros(t.n)
+    ph = np.zeros(t.n)
     best: set[int] | None = None
     best_iteration = 0
     history: list[int] = []
@@ -301,10 +260,4 @@ def solve(t: Topology, params: AcoParams | None = None) -> AcoSolution:
             best = iteration_best
             best_iteration = iteration
         ph = update_pheromone(ph, iteration_best, params)
-
-    if params.final_greedy:
-        scores = params.alpha * (t.degrees + 1.0) + params.beta * ph.values
-        start = int(np.argmax(scores))
-        final = construct_solution(t, ph, replace(params, greedy=True), start, _ant_rng(params.seed, iterations, 0))
-        return AcoSolution(heads=frozenset(final), iteration_found=iterations, head_count_history=history)
     return AcoSolution(heads=frozenset(best), iteration_found=best_iteration, head_count_history=history)

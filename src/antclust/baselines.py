@@ -94,8 +94,8 @@ def kconid(t: Topology, k: int = 1) -> Clustering:
     """
     if not isinstance(k, int) or k < 1:
         raise ConfigurationError(f"k must be an integer >= 1, got {k!r}")
-    connectivity = [len(t.k_hop_neighborhood(v, k)) for v in range(t.n)]
-    reach = {v: t.k_hop_neighborhood(v, k) for v in range(t.n)}
+    reach = [t.k_hop_neighborhood(v, k) for v in range(t.n)]
+    connectivity = [len(r) for r in reach]
     return _elect(t, priority=lambda v: (-connectivity[v], v), reach=lambda v: reach[v], hops=k)
 
 

@@ -25,7 +25,7 @@ ALGORITHM_CHOICES = experiments.ALGORITHMS
 
 def _add_aco_flags(p: argparse.ArgumentParser) -> None:
     d = aco.AcoParams()
-    p.add_argument("--alpha", type=float, default=d.alpha, help="weight multiplier (default %(default)s)")
+    p.add_argument("--alpha", type=float, default=d.alpha, help="coverage-gain multiplier (default %(default)s)")
     p.add_argument("--beta", type=float, default=d.beta, help="pheromone multiplier (default %(default)s)")
     p.add_argument("--ants", type=int, default=d.ants, help="constructions per iteration (default %(default)s)")
     p.add_argument("--evaporation-rate", type=float, default=d.evaporation_rate,
@@ -33,13 +33,7 @@ def _add_aco_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--deposit-quantum", type=float, default=d.deposit_quantum,
                    help="pheromone deposit scale (default %(default)s)")
     p.add_argument("--greedy", action="store_true", help="pick the argmax instead of roulette sampling")
-    p.add_argument("--dynamic-visibility", action="store_true",
-                   help="score candidates by newly covered nodes instead of static degree weight")
-    p.add_argument("--neighbor-restricted", action="store_true",
-                   help="prefer candidates adjacent to the previous head")
-    p.add_argument("--final-greedy", action="store_true",
-                   help="answer with one last deterministic construction under the final pheromone")
-    p.add_argument("--iterations", type=int, default=None,
+    p.add_argument("--iterations", type=int, default=d.iterations,
                    help="iteration count (default: the node count)")
     p.add_argument("--seed", type=int, default=d.seed, help="solver RNG seed (default %(default)s)")
 
@@ -62,9 +56,6 @@ def _aco_params(args: argparse.Namespace) -> aco.AcoParams:
         evaporation_rate=args.evaporation_rate,
         deposit_quantum=args.deposit_quantum,
         greedy=args.greedy,
-        dynamic_visibility=args.dynamic_visibility,
-        neighbor_restricted=args.neighbor_restricted,
-        final_greedy=args.final_greedy,
         iterations=args.iterations,
         seed=args.seed,
     )
@@ -74,23 +65,9 @@ def _wca_params(args: argparse.Namespace) -> baselines.WcaParams:
     return baselines.WcaParams(w1=args.w1, w2=args.w2, w3=args.w3, w4=args.w4, ideal_degree=args.ideal_degree)
 
 
-def _solve_named(t: geomgraph.Topology, name: str, args: argparse.Namespace) -> clustering.Clustering:
-    if name == "aco":
-        heads = aco.solve(t, _aco_params(args)).heads
-        return clustering.assign_members(t, heads)
-    if name == "lic":
-        return baselines.lowest_id(t)
-    if name == "hd":
-        return baselines.highest_degree(t)
-    if name == "kconid":
-        return baselines.kconid(t, args.k)
-    if name == "wca":
-        return baselines.wca(t, _wca_params(args))
-    if name == "greedy":
-        return clustering.assign_members(t, oracle.greedy_min_dominating_set(t))
-    if name == "exact":
-        return clustering.assign_members(t, oracle.exact_min_dominating_set(t, args.node_limit).witness)
-    raise AntclustError(f"unknown algorithm {name!r}")
+def _spec(args: argparse.Namespace) -> experiments.ExperimentSpec:
+    return experiments.ExperimentSpec(aco=_aco_params(args), wca=_wca_params(args), kconid_k=args.k,
+                                      oracle_node_limit=args.node_limit)
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -105,7 +82,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _cmd_solve(args: argparse.Namespace) -> int:
     t = geomgraph.load(args.graph)
     t0 = time.perf_counter()
-    solution = _solve_named(t, args.algorithm, args)
+    solution, _ = experiments.elect(t, args.algorithm, _spec(args))
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
     print(f"algorithm={args.algorithm} heads={solution.head_count} wall_time_ms={elapsed_ms:.3f}")
     if args.out:
@@ -133,10 +110,11 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     for name in names:
         if name not in ALGORITHM_CHOICES:
             raise AntclustError(f"unknown algorithm {name!r}; known: {', '.join(ALGORITHM_CHOICES)}")
+    spec = _spec(args)
     print(f"{'algorithm':<10} {'heads':>6} {'wall_ms':>10}")
     for name in names:
         t0 = time.perf_counter()
-        solution = _solve_named(t, name, args)
+        solution, _ = experiments.elect(t, name, spec)
         elapsed_ms = (time.perf_counter() - t0) * 1000.0
         print(f"{name:<10} {solution.head_count:>6} {elapsed_ms:>10.3f}")
     return EXIT_OK

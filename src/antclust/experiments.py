@@ -7,13 +7,34 @@ import json
 import time
 from dataclasses import asdict, dataclass, field, replace
 from statistics import fmean
+from typing import Callable
 
 from . import aco, baselines, oracle
-from .clustering import is_dominating, is_k_dominating
-from .errors import ConfigurationError, ParseError
+from .clustering import Clustering, assign_members, is_dominating, is_k_dominating
+from .errors import ConfigurationError, ParseError, ValidityError
 from .geomgraph import Topology, TopologyConfig, generate
 
-ALGORITHMS = ("aco", "lic", "hd", "kconid", "wca", "greedy", "exact")
+
+def _aco(t: Topology, spec: ExperimentSpec) -> tuple[Clustering, int]:
+    solution = aco.solve(t, spec.aco)
+    return assign_members(t, solution.heads), len(solution.head_count_history)
+
+
+# name -> solver(topology, spec) -> (clustering, iterations run). Entries look
+# the solver functions up on their modules at call time, so rebinding
+# aco.solve (or any other solver) also changes what the table runs.
+SOLVERS: dict[str, Callable[[Topology, ExperimentSpec], tuple[Clustering, int]]] = {
+    "aco": _aco,
+    "lic": lambda t, spec: (baselines.lowest_id(t), 1),
+    "hd": lambda t, spec: (baselines.highest_degree(t), 1),
+    "kconid": lambda t, spec: (baselines.kconid(t, spec.kconid_k), 1),
+    "wca": lambda t, spec: (baselines.wca(t, spec.wca), 1),
+    "greedy": lambda t, spec: (assign_members(t, oracle.greedy_min_dominating_set(t)), 1),
+    "exact": lambda t, spec: (
+        assign_members(t, oracle.exact_min_dominating_set(t, spec.oracle_node_limit).witness), 1
+    ),
+}
+ALGORITHMS = tuple(SOLVERS)
 
 DEFAULT_NODE_COUNTS = (50, 100, 200, 300, 400)
 DEFAULT_RANGES = (200.0, 300.0, 400.0)
@@ -102,32 +123,27 @@ class ExperimentResult:
         raise KeyError(f"no aggregate for ({algorithm!r}, {n}, {rng})")
 
 
-def _solve_one(t: Topology, algorithm: str, spec: ExperimentSpec, seed: int) -> tuple[set[int], int]:
-    """Run one solver; returns (heads, iterations actually used)."""
-    if algorithm == "aco":
-        params = replace(spec.aco, seed=seed)
-        solution = aco.solve(t, params)
-        return set(solution.heads), params.iterations if params.iterations is not None else t.n
-    if algorithm == "lic":
-        return set(baselines.lowest_id(t).heads), 1
-    if algorithm == "hd":
-        return set(baselines.highest_degree(t).heads), 1
-    if algorithm == "kconid":
-        return set(baselines.kconid(t, spec.kconid_k).heads), 1
-    if algorithm == "wca":
-        return set(baselines.wca(t, spec.wca).heads), 1
-    if algorithm == "greedy":
-        return oracle.greedy_min_dominating_set(t), 1
-    if algorithm == "exact":
-        return set(oracle.exact_min_dominating_set(t, spec.oracle_node_limit).witness), 1
-    raise ConfigurationError(f"unknown algorithm {algorithm!r}")
+def elect(t: Topology, algorithm: str, spec: ExperimentSpec) -> tuple[Clustering, int]:
+    """Run one named solver with the settings in ``spec``; returns
+    (clustering, iterations run).
+
+    Raises ValidityError unless the heads dominate the topology (within
+    ``hops`` hops for a k-hop clustering).
+    """
+    if algorithm not in SOLVERS:
+        raise ConfigurationError(f"unknown algorithm {algorithm!r}; known: {', '.join(ALGORITHMS)}")
+    c, iterations = SOLVERS[algorithm](t, spec)
+    valid = is_dominating(t, c.heads) if c.hops == 1 else is_k_dominating(t, c.heads, c.hops)
+    if not valid:
+        raise ValidityError(f"{algorithm} returned a head set that does not dominate within {c.hops} hop(s)")
+    return c, iterations
 
 
 def run(spec: ExperimentSpec) -> ExperimentResult:
     """Execute the sweep. Solver failures are recorded per row, never fatal.
 
-    Every successful row's head set is checked for domination (k-hop
-    domination for the k-hop scheme) before being recorded.
+    Each row runs ``elect`` on the topology generated from (n, range, seed),
+    with the colony seeded by the same seed.
     """
     spec.validate()
     topologies: dict[tuple[int, float, int], Topology] = {}
@@ -142,21 +158,19 @@ def run(spec: ExperimentSpec) -> ExperimentResult:
                             TopologyConfig(n=n, area_side=spec.area_side, range=float(rng), seed=seed)
                         )
                     t = topologies[key]
+                    seeded = replace(spec, aco=replace(spec.aco, seed=seed))
                     t0 = time.perf_counter()
                     try:
-                        heads, iterations = _solve_one(t, algorithm, spec, seed)
+                        c, iterations = elect(t, algorithm, seeded)
                         elapsed_ms = (time.perf_counter() - t0) * 1000.0
-                        needed_k = spec.kconid_k if algorithm == "kconid" else 1
-                        valid = is_dominating(t, heads) if needed_k == 1 else is_k_dominating(t, heads, needed_k)
-                        if not valid:
-                            raise AssertionError("solver returned a non-dominating head set")
                         rows.append(
-                            RunRow(algorithm, n, float(rng), seed, len(heads), iterations, elapsed_ms)
+                            RunRow(algorithm, n, float(rng), seed, c.head_count, iterations, elapsed_ms)
                         )
                     except Exception as exc:  # noqa: BLE001 - failed rows are data, not crashes
                         elapsed_ms = (time.perf_counter() - t0) * 1000.0
                         rows.append(
-                            RunRow(algorithm, n, float(rng), seed, 0, 0, elapsed_ms, ok=False, error=str(exc))
+                            RunRow(algorithm, n, float(rng), seed, 0, 0, elapsed_ms, ok=False,
+                                   error=f"{type(exc).__name__}: {exc}")
                         )
     rows.sort(key=lambda r: r.key)
     return ExperimentResult(rows=rows)
@@ -245,20 +259,19 @@ def load_spec(path) -> ExperimentSpec:
     if unknown:
         raise ConfigurationError(f"{path}: unknown spec fields: {sorted(unknown)}")
     kwargs: dict = {}
-    for key in ("node_counts", "seeds"):
-        if key in doc:
-            kwargs[key] = tuple(int(x) for x in doc[key])
-    if "ranges" in doc:
-        kwargs["ranges"] = tuple(float(x) for x in doc["ranges"])
-    if "algorithms" in doc:
-        kwargs["algorithms"] = tuple(str(x) for x in doc["algorithms"])
-    for key in ("area_side",):
-        if key in doc:
-            kwargs[key] = float(doc[key])
-    for key in ("kconid_k", "oracle_node_limit"):
-        if key in doc:
-            kwargs[key] = int(doc[key])
     try:
+        for key in ("node_counts", "seeds"):
+            if key in doc:
+                kwargs[key] = tuple(int(x) for x in doc[key])
+        if "ranges" in doc:
+            kwargs["ranges"] = tuple(float(x) for x in doc["ranges"])
+        if "algorithms" in doc:
+            kwargs["algorithms"] = tuple(str(x) for x in doc["algorithms"])
+        if "area_side" in doc:
+            kwargs["area_side"] = float(doc["area_side"])
+        for key in ("kconid_k", "oracle_node_limit"):
+            if key in doc:
+                kwargs[key] = int(doc[key])
         if "aco" in doc:
             kwargs["aco"] = aco.AcoParams(**doc["aco"])
         if "wca" in doc:
@@ -267,8 +280,8 @@ def load_spec(path) -> ExperimentSpec:
                 if wca_kwargs.get(mapping_key) is not None:
                     wca_kwargs[mapping_key] = {int(k): float(v) for k, v in wca_kwargs[mapping_key].items()}
             kwargs["wca"] = baselines.WcaParams(**wca_kwargs)
-    except TypeError as exc:
-        raise ConfigurationError(f"{path}: bad solver parameters: {exc}") from exc
-    spec = ExperimentSpec(**kwargs)
-    spec.validate()
+        spec = ExperimentSpec(**kwargs)
+        spec.validate()
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise ConfigurationError(f"{path}: bad spec: {exc}") from exc
     return spec

@@ -24,7 +24,6 @@ DEFAULT_NODE_LIMIT = 14
 class OracleResult:
     optimum_size: int
     witness: frozenset[int]
-    node_limit_respected: bool = True
 
 
 def exact_min_dominating_set(t: Topology, node_limit: int = DEFAULT_NODE_LIMIT) -> OracleResult:

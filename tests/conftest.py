@@ -2,10 +2,18 @@
 
 import itertools
 import math
+import os
+from pathlib import Path
 
 import pytest
 
+import antclust
 from antclust.geomgraph import Topology, TopologyConfig, generate
+
+# CLI tests start `python -m antclust` in a subprocess: let it import the
+# same package these tests import
+_SRC = str(Path(antclust.__file__).resolve().parents[1])
+os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
 
 
 def make_topology(points, radio_range, area_side=None):

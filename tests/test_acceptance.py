@@ -14,7 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from antclust.aco import AcoParams, PheromoneState, selection_probability, solve
+from antclust.aco import AcoParams, selection_probability, solve
 from antclust.baselines import WcaParams, highest_degree, kconid, lowest_id, wca
 from antclust.clustering import is_dominating, is_k_dominating
 from antclust.experiments import ExperimentSpec, run
@@ -150,8 +150,8 @@ def test_criterion_4_validity_suite():
 
     modes = [
         {},
-        {"dynamic_visibility": False},
-        {"neighbor_restricted": True},
+        {"alpha": 1.0, "beta": 9.0},
+        {"ants": 1, "evaporation_rate": 0.5},
         {"greedy": True},
     ]
     for i in range(40):
@@ -174,7 +174,7 @@ def test_criterion_5_probability_normalization():
         n = int(rng.integers(3, 31))
         t = generate(TopologyConfig(n=n, area_side=100.0, range=float(rng.uniform(15, 60)),
                                     seed=int(rng.integers(0, 2 ** 32))))
-        ph = PheromoneState(rng.uniform(0, 50, size=n))
+        ph = np.array(rng.uniform(0, 50, size=n))
         alpha, beta = float(rng.uniform(0.1, 20)), float(rng.uniform(0.1, 20))
         size = int(rng.integers(1, n + 1))
         cand = set(int(v) for v in rng.choice(n, size=size, replace=False))

@@ -4,7 +4,10 @@ import sys
 
 import pytest
 
+from antclust import cli as cli_module
+from antclust.aco import AcoParams
 from antclust.clustering import load_clustering
+from antclust.experiments import ALGORITHMS, ExperimentSpec, run
 from antclust.geomgraph import save
 
 from conftest import edgeless_topology, path_topology, star_topology
@@ -88,6 +91,29 @@ class TestSolve:
         r = cli("solve", "--graph", path4_file, "--algorithm", "magic")
         assert r.returncode == 2
 
+    def test_aco_flag_defaults_are_the_library_defaults(self):
+        args = cli_module.build_parser().parse_args(["solve", "--graph", "g", "--algorithm", "aco"])
+        assert cli_module._aco_params(args) == AcoParams()
+
+    @pytest.mark.filterwarnings("ignore:node_limit")
+    def test_every_algorithm_matches_its_experiment_row(self, tmp_path):
+        # on this graph one colony construction gives 4 heads with the
+        # default scoring and 3 with static degree weights, so a CLI that
+        # ran a different colony from the library would report another count
+        graph = tmp_path / "g.json"
+        assert cli("generate", "--nodes", 20, "--area", 200, "--range", 80, "--seed", 3,
+                   "--out", graph).returncode == 0
+        result = run(ExperimentSpec(node_counts=(20,), ranges=(80.0,), area_side=200.0, seeds=(3,),
+                                    algorithms=ALGORITHMS, aco=AcoParams(ants=1, iterations=1),
+                                    oracle_node_limit=20))
+        expected = {r.algorithm: r.head_count for r in result.rows if r.ok}
+        assert sorted(expected) == sorted(ALGORITHMS)
+        for name in ALGORITHMS:
+            r = cli("solve", "--graph", graph, "--algorithm", name, "--ants", 1, "--iterations", 1,
+                    "--seed", 3, "--node-limit", 20)
+            assert r.returncode == 0, r.stderr
+            assert f"heads={expected[name]} " in r.stdout, (name, r.stdout)
+
     def test_malformed_graph_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("not a graph")
@@ -169,6 +195,23 @@ class TestExperiment:
         spec.write_text(json.dumps({"seeds": []}))
         r = cli("experiment", "--spec", spec, "--out", tmp_path / "o")
         assert r.returncode == 2
+
+    @pytest.mark.parametrize("doc", [
+        {"seeds": ["x"]},
+        {"aco": {"alpha": "x"}},
+        {"aco": {"dynamic_visibility": False}},
+        {"wca": {"mobility": [1]}},
+        {"ranges": 5},
+    ])
+    def test_hostile_spec_exit_2_without_traceback(self, tmp_path, doc):
+        # a tiny grid underneath, so a spec accepted by mistake fails fast
+        tiny = {"node_counts": [6], "ranges": [60], "area_side": 100, "seeds": [0], "aco": {"ants": 2}}
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({**tiny, **doc}))
+        r = cli("experiment", "--spec", spec, "--out", tmp_path / "o")
+        assert r.returncode == 2
+        assert r.stderr.startswith("error:")
+        assert "Traceback" not in r.stderr
 
     def test_no_subcommand_usage_error(self):
         assert cli().returncode == 2

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from antclust.aco import AcoParams
+from antclust import aco
+from antclust.aco import AcoParams, AcoSolution
 from antclust.errors import ConfigurationError
 from antclust.experiments import (
     Aggregate,
@@ -70,6 +71,18 @@ class TestRun:
         greedy_rows = [r for r in result.rows if r.algorithm == "greedy"]
         assert all(not r.ok and "node limit" in r.error for r in exact_rows)
         assert all(r.ok for r in greedy_rows)
+
+    def test_error_keeps_the_exception_type(self):
+        result = run(tiny_spec(node_counts=(16,), algorithms=("exact",), ranges=(150.0,)))
+        assert all(r.error.startswith("NodeLimitError: ") for r in result.rows)
+
+    def test_iterations_used_counts_the_iterations_that_ran(self, monkeypatch):
+        def stopped_early(t, params=None):
+            return AcoSolution(heads=frozenset(range(t.n)), iteration_found=0, head_count_history=[t.n] * 3)
+
+        monkeypatch.setattr(aco, "solve", stopped_early)
+        result = run(tiny_spec(algorithms=("aco",)))
+        assert result.rows and all(r.ok and r.iterations_used == 3 for r in result.rows)
 
     def test_deterministic_head_counts(self):
         spec = tiny_spec(algorithms=("aco", "hd"))
