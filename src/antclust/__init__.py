@@ -12,7 +12,6 @@ from .clustering import (
     assign_members,
     domination_number_lower_bound,
     is_dominating,
-    is_k_dominating,
     load_clustering,
     save_clustering,
     validate_clustering,
@@ -56,7 +55,6 @@ __all__ = [
     "greedy_min_dominating_set",
     "highest_degree",
     "is_dominating",
-    "is_k_dominating",
     "kconid",
     "load",
     "load_clustering",

@@ -16,6 +16,7 @@ rate. The smallest head set seen anywhere is returned.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,9 @@ class AcoParams:
     seed: int = 0
 
     def validate(self) -> None:
+        for name in ("alpha", "beta", "deposit_quantum"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.alpha < 0 or self.beta < 0:
             raise ConfigurationError(f"alpha and beta must be >= 0, got alpha={self.alpha}, beta={self.beta}")
         if self.alpha + self.beta <= 0:

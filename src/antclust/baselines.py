@@ -1,8 +1,9 @@
 """Classical deterministic cluster-head election schemes.
 
-All four share the same sequential skeleton: among the still-undecided
-nodes, the one with the best priority becomes a head and claims its
-undecided neighbors as members; this repeats until every node is decided.
+All four are one ordered sweep: the nodes are ranked once by the scheme's
+key (id, degree, k-hop connectivity or combined weight; ties go to the
+lower id), and each node that is still undecided when its turn comes
+becomes a head and claims the undecided nodes of its reach row as members.
 Consequently no two heads are ever adjacent (except for the k-hop scheme,
 whose heads are non-adjacent within k hops).
 """
@@ -10,8 +11,10 @@ whose heads are non-adjacent within k hops).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from dataclasses import dataclass
+from typing import Iterable, Mapping
+
+import numpy as np
 
 from .clustering import Clustering, compute_roles
 from .errors import ConfigurationError
@@ -37,6 +40,13 @@ class WcaParams:
     head_tenure: Mapping[int, float] | None = None
 
     def validate(self) -> None:
+        for name in ("w1", "w2", "w3", "w4", "ideal_degree"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)!r}")
+        for name in ("mobility", "head_tenure"):
+            for v, x in (getattr(self, name) or {}).items():
+                if not math.isfinite(x):
+                    raise ConfigurationError(f"{name}[{v!r}] must be finite, got {x!r}")
         for name in ("w1", "w2", "w3", "w4"):
             if getattr(self, name) < 0:
                 raise ConfigurationError(f"{name} must be >= 0, got {getattr(self, name)!r}")
@@ -59,31 +69,36 @@ def wca_node_weight(t: Topology, v, p: WcaParams) -> float:
     return p.w1 * degree_diff + p.w2 * dist_sum + p.w3 * mobility + p.w4 * tenure
 
 
-def _elect(t: Topology, priority: Callable[[int], tuple], reach: Callable[[int], frozenset[int]], hops: int = 1) -> Clustering:
-    """Sequential election: best-priority undecided node becomes a head and
-    claims the undecided nodes it reaches."""
-    undecided = set(range(t.n))
+def _elect(t: Topology, order: Iterable[int], reach: np.ndarray, hops: int = 1) -> Clustering:
+    """Walk the nodes in ``order``; each still-undecided node becomes a head
+    and claims the undecided nodes of its ``reach`` row."""
+    undecided = np.ones(t.n, dtype=bool)
     heads: list[int] = []
     assignment: dict[int, int] = {}
-    while undecided:
-        h = min(undecided, key=priority)
-        undecided.discard(h)
+    for h in order:
+        if not undecided[h]:
+            continue
+        claimed = np.flatnonzero(reach[h] & undecided)
+        undecided[claimed] = False
         heads.append(h)
-        for m in sorted(reach(h) & undecided):
-            assignment[m] = h
-        undecided -= reach(h)
+        assignment.update((m, h) for m in claimed.tolist() if m != h)
     head_set = frozenset(heads)
     return Clustering(heads=head_set, assignment=assignment, roles=compute_roles(t, head_set), hops=hops)
 
 
+def _ranked(key) -> list[int]:
+    """Node ids by ascending key; a stable sort sends ties to the lower id."""
+    return np.argsort(key, kind="stable").tolist()
+
+
 def lowest_id(t: Topology) -> Clustering:
     """The undecided node with the smallest id wins its neighborhood."""
-    return _elect(t, priority=lambda v: (v,), reach=t.neighbors)
+    return _elect(t, range(t.n), t.reach(1))
 
 
 def highest_degree(t: Topology) -> Clustering:
     """The undecided node with the most neighbors wins; ties go to the lower id."""
-    return _elect(t, priority=lambda v: (-t.degree(v), v), reach=t.neighbors)
+    return _elect(t, _ranked(-t.degrees), t.reach(1))
 
 
 def kconid(t: Topology, k: int = 1) -> Clustering:
@@ -92,11 +107,10 @@ def kconid(t: Topology, k: int = 1) -> Clustering:
     For k=1 the connectivity equals the node degree, so the head set matches
     highest_degree exactly.
     """
-    if not isinstance(k, int) or k < 1:
+    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise ConfigurationError(f"k must be an integer >= 1, got {k!r}")
-    reach = [t.k_hop_neighborhood(v, k) for v in range(t.n)]
-    connectivity = [len(r) for r in reach]
-    return _elect(t, priority=lambda v: (-connectivity[v], v), reach=lambda v: reach[v], hops=k)
+    reach = t.reach(k)
+    return _elect(t, _ranked(-reach.sum(axis=1)), reach, hops=k)
 
 
 def wca(t: Topology, p: WcaParams | None = None) -> Clustering:
@@ -104,4 +118,4 @@ def wca(t: Topology, p: WcaParams | None = None) -> Clustering:
     p = p if p is not None else WcaParams()
     p.validate()
     weights = [wca_node_weight(t, v, p) for v in range(t.n)]
-    return _elect(t, priority=lambda v: (weights[v], v), reach=t.neighbors)
+    return _elect(t, _ranked(weights), t.reach(1))

@@ -41,60 +41,33 @@ class Clustering:
 
 
 def _checked_heads(t: Topology, heads) -> list[int]:
-    return sorted(t._check_id(v) for v in heads)
+    return sorted({t._check_id(v) for v in heads})
 
 
-def covered_by(t: Topology, heads) -> np.ndarray:
-    """Boolean mask of nodes that are heads or adjacent to a head."""
+def covered_by(t: Topology, heads, hops: int = 1) -> np.ndarray:
+    """Boolean mask of nodes within ``hops`` hops of a head (heads included)."""
     ids = _checked_heads(t, heads)
-    if not ids:
-        return np.zeros(t.n, dtype=bool)
-    return t.closed_neighborhood_matrix[ids].any(axis=0)
+    return t.reach(hops)[ids].any(axis=0)
 
 
-def uncovered_nodes(t: Topology, heads) -> list[int]:
-    return [int(v) for v in np.flatnonzero(~covered_by(t, heads))]
+def uncovered_nodes(t: Topology, heads, hops: int = 1) -> list[int]:
+    return [int(v) for v in np.flatnonzero(~covered_by(t, heads, hops))]
 
 
-def is_dominating(t: Topology, heads) -> bool:
-    """True iff every node is in heads or adjacent to at least one head."""
-    return bool(covered_by(t, heads).all())
-
-
-def k_hop_covered_by(t: Topology, heads, k: int) -> set[int]:
-    """Nodes within k hops of some head (including the heads), via multi-source BFS."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k!r}")
-    seen = set(_checked_heads(t, heads))
-    frontier = set(seen)
-    for _ in range(k):
-        nxt = set()
-        for u in frontier:
-            nxt |= t.neighbors(u)
-        nxt -= seen
-        if not nxt:
-            break
-        seen |= nxt
-        frontier = nxt
-    return seen
-
-
-def is_k_dominating(t: Topology, heads, k: int) -> bool:
-    return len(k_hop_covered_by(t, heads, k)) == t.n
+def is_dominating(t: Topology, heads, hops: int = 1) -> bool:
+    """True iff every node is a head or within ``hops`` hops of a head."""
+    return bool(covered_by(t, heads, hops).all())
 
 
 def compute_roles(t: Topology, heads) -> dict[int, str]:
     """Head for heads; gateway for a non-head in range of >= 2 heads; ordinary otherwise."""
-    head_set = set(_checked_heads(t, heads))
-    roles = {}
-    for v in range(t.n):
-        if v in head_set:
-            roles[v] = HEAD
-        elif len(t.neighbors(v) & head_set) >= 2:
-            roles[v] = GATEWAY
-        else:
-            roles[v] = ORDINARY
-    return roles
+    ids = _checked_heads(t, heads)
+    head_set = set(ids)
+    adjacent_heads = t.adjacency_matrix[:, ids].sum(axis=1).tolist()
+    return {
+        v: HEAD if v in head_set else GATEWAY if adjacent_heads[v] >= 2 else ORDINARY
+        for v in range(t.n)
+    }
 
 
 def assign_members(t: Topology, heads) -> Clustering:
@@ -103,16 +76,15 @@ def assign_members(t: Topology, heads) -> Clustering:
     Raises ValidityError (listing the uncovered nodes) if the heads do not
     dominate the topology.
     """
-    head_set = frozenset(_checked_heads(t, heads))
-    missing = uncovered_nodes(t, head_set)
+    ids = _checked_heads(t, heads)
+    missing = uncovered_nodes(t, ids)
     if missing:
         raise ValidityError(f"heads do not dominate; uncovered nodes: {missing}", uncovered=missing)
-    assignment = {}
-    for v in range(t.n):
-        if v in head_set:
-            continue
-        assignment[v] = min(t.neighbors(v) & head_set)
-    return Clustering(heads=head_set, assignment=assignment, roles=compute_roles(t, head_set), hops=1)
+    head_set = frozenset(ids)
+    # the first adjacent head column in ascending id order is the lowest-id head
+    first = t.adjacency_matrix[:, ids].argmax(axis=1).tolist()
+    assignment = {v: ids[i] for v, i in enumerate(first) if v not in head_set}
+    return Clustering(heads=head_set, assignment=assignment, roles=compute_roles(t, ids), hops=1)
 
 
 def domination_number_lower_bound(t: Topology) -> int:
@@ -132,16 +104,11 @@ def validate_clustering(t: Topology, c: Clustering) -> list[str]:
     except NodeNotFoundError as exc:
         return [f"heads: {exc}"]
 
-    if c.hops == 1:
-        missing = uncovered_nodes(t, head_set)
-    else:
-        missing = sorted(set(range(t.n)) - k_hop_covered_by(t, head_set, c.hops))
+    missing = uncovered_nodes(t, head_set, c.hops)
     if missing:
         problems.append(f"uncovered nodes (no head within {c.hops} hop(s)): {missing}")
 
-    reach: dict[int, set[int]] = {}
-    for h in head_set:
-        reach[h] = set(t.neighbors(h)) if c.hops == 1 else set(t.k_hop_neighborhood(h, c.hops))
+    reach = t.reach(c.hops)
 
     for member, h in sorted(c.assignment.items()):
         if not (isinstance(member, int) and 0 <= member < t.n):
@@ -153,7 +120,7 @@ def validate_clustering(t: Topology, c: Clustering) -> list[str]:
         if h not in head_set:
             problems.append(f"assignment: node {member} is assigned to {h}, which is not a head")
             continue
-        if member not in reach[h]:
+        if not reach[h, member]:
             problems.append(f"assignment: node {member} is not within {c.hops} hop(s) of its head {h}")
 
     for v in range(t.n):
@@ -204,7 +171,7 @@ def load_clustering(path) -> Clustering:
     if not isinstance(assignment_raw, dict) or not isinstance(roles_raw, dict):
         raise ParseError(f"{path}: 'assignment' and 'roles' must be objects")
     hops = doc.get("hops", 1)
-    if not isinstance(hops, int) or hops < 1:
+    if not isinstance(hops, int) or isinstance(hops, bool) or hops < 1:
         raise ParseError(f"{path}: 'hops' must be an integer >= 1")
     try:
         assignment = {int(m): int(h) for m, h in assignment_raw.items()}

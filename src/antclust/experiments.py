@@ -10,7 +10,7 @@ from statistics import fmean
 from typing import Callable
 
 from . import aco, baselines, oracle
-from .clustering import Clustering, assign_members, is_dominating, is_k_dominating
+from .clustering import Clustering, assign_members, is_dominating
 from .errors import ConfigurationError, ParseError, ValidityError
 from .geomgraph import Topology, TopologyConfig, generate
 
@@ -133,8 +133,7 @@ def elect(t: Topology, algorithm: str, spec: ExperimentSpec) -> tuple[Clustering
     if algorithm not in SOLVERS:
         raise ConfigurationError(f"unknown algorithm {algorithm!r}; known: {', '.join(ALGORITHMS)}")
     c, iterations = SOLVERS[algorithm](t, spec)
-    valid = is_dominating(t, c.heads) if c.hops == 1 else is_k_dominating(t, c.heads, c.hops)
-    if not valid:
+    if not is_dominating(t, c.heads, c.hops):
         raise ValidityError(f"{algorithm} returned a head set that does not dominate within {c.hops} hop(s)")
     return c, iterations
 
@@ -226,16 +225,6 @@ def load_result_json(path) -> ExperimentResult:
     except TypeError as exc:
         raise ParseError(f"{path}: malformed row: {exc}") from exc
     return ExperimentResult(rows=rows)
-
-
-def export(result: ExperimentResult, fmt: str, path) -> None:
-    """Single-file export dispatch: 'csv' writes per-run rows, 'json' writes everything."""
-    if fmt == "csv":
-        export_rows_csv(result, path)
-    elif fmt == "json":
-        export_json(result, path)
-    else:
-        raise ConfigurationError(f"unknown export format {fmt!r} (use 'csv' or 'json')")
 
 
 # -- spec files ----------------------------------------------------------------

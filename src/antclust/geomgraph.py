@@ -1,8 +1,13 @@
-"""Unit-disk topology graphs: node placement, adjacency and neighborhood queries.
+"""Unit-disk topology graphs: node placement, adjacency and k-hop reach.
 
 Nodes are points in a square; two nodes are linked iff their Euclidean
 distance is strictly below the transmission range. Adjacency is always
 derived from positions, never stored in files.
+
+The boolean adjacency matrix is the one graph representation. Every
+"who is in range of whom" and "who is within k hops" question is answered
+from it: ``Topology.reach(k)`` is the matrix of pairs at most k hops apart,
+and ``reach(1)`` is the closed neighbourhood matrix.
 """
 
 from __future__ import annotations
@@ -16,6 +21,15 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigurationError, NodeNotFoundError, ParseError
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    """int or float, but not bool (True would otherwise read as 1)."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -32,20 +46,22 @@ class TopologyConfig:
     seed: int | None = 0
 
     def validate(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
+        if not _is_int(self.n) or self.n < 1:
             raise ConfigurationError(f"n must be an integer >= 1, got {self.n!r}")
-        if not (isinstance(self.area_side, (int, float)) and math.isfinite(self.area_side) and self.area_side > 0):
+        if not (_is_number(self.area_side) and math.isfinite(self.area_side) and self.area_side > 0):
             raise ConfigurationError(f"area_side must be a finite positive number, got {self.area_side!r}")
-        if not (isinstance(self.range, (int, float)) and math.isfinite(self.range) and self.range > 0):
+        if not (_is_number(self.range) and math.isfinite(self.range) and self.range > 0):
             raise ConfigurationError(f"range must be a finite positive number, got {self.range!r}")
-        if self.seed is not None and (not isinstance(self.seed, int) or self.seed < 0):
+        if self.seed is not None and (not _is_int(self.seed) or self.seed < 0):
             raise ConfigurationError(f"seed must be a non-negative integer or None, got {self.seed!r}")
 
 
 class Topology:
-    """Immutable set of node positions plus the derived strict-range adjacency.
+    """Immutable node positions plus the derived strict-range adjacency matrix.
 
-    Node ids are dense 0..n-1. Safe for concurrent read access.
+    Node ids are dense 0..n-1. Neighbourhoods, degrees and k-hop reach are
+    all read from the boolean adjacency matrix; ``reach(k)`` matrices are
+    built on first use and cached per k. Safe for concurrent read access.
     """
 
     def __init__(self, config: TopologyConfig, positions) -> None:
@@ -64,7 +80,7 @@ class Topology:
         np.fill_diagonal(adj, False)
         adj.flags.writeable = False
         self._adj = adj
-        self._neighbor_cache: dict[int, frozenset[int]] = {}
+        self._reach: dict[int, np.ndarray] = {}
 
     # -- basic accessors ---------------------------------------------------
 
@@ -109,11 +125,7 @@ class Topology:
     def neighbors(self, v) -> frozenset[int]:
         """Ids of nodes strictly within range of v, excluding v itself."""
         v = self._check_id(v)
-        cached = self._neighbor_cache.get(v)
-        if cached is None:
-            cached = frozenset(int(u) for u in np.flatnonzero(self._adj[v]))
-            self._neighbor_cache[v] = cached
-        return cached
+        return frozenset(int(u) for u in np.flatnonzero(self._adj[v]))
 
     def closed_neighborhood(self, v) -> frozenset[int]:
         """neighbors(v) plus v itself: everything a head at v would cover."""
@@ -124,23 +136,31 @@ class Topology:
         v = self._check_id(v)
         return int(self.degrees[v])
 
-    def k_hop_neighborhood(self, v, k: int) -> frozenset[int]:
-        """All nodes reachable from v in at most k hops, excluding v."""
-        v = self._check_id(v)
-        if not isinstance(k, int) or k < 1:
+    def reach(self, k: int = 1) -> np.ndarray:
+        """Boolean n x n matrix, True where two nodes are at most k hops apart
+        (diagonal included). Read-only; ``reach(1)`` is the closed
+        neighbourhood matrix.
+
+        Built hop by hop on bit-packed rows: row v of hop j+1 is the OR of
+        the hop-j rows of v's closed neighbourhood. The walk stops early once
+        a hop adds nothing.
+        """
+        if not _is_int(k) or k < 1:
             raise ValueError(f"k must be an integer >= 1, got {k!r}")
-        seen = {v}
-        frontier = {v}
-        for _ in range(k):
-            nxt = set()
-            for u in frontier:
-                nxt |= self.neighbors(u)
-            nxt -= seen
-            if not nxt:
-                break
-            seen |= nxt
-            frontier = nxt
-        return frozenset(seen - {v})
+        if k == 1:
+            return self.closed_neighborhood_matrix
+        if k not in self._reach:
+            closed = self.closed_neighborhood_matrix
+            rows = np.packbits(closed, axis=1)
+            for _ in range(k - 1):
+                nxt = np.array([np.bitwise_or.reduce(rows[nbrs]) for nbrs in closed])
+                if np.array_equal(nxt, rows):
+                    break
+                rows = nxt
+            m = np.unpackbits(rows, axis=1, count=self.n).view(bool)
+            m.flags.writeable = False
+            self._reach[k] = m
+        return self._reach[k]
 
     def edge_count(self) -> int:
         return int(self.degrees.sum()) // 2
@@ -208,7 +228,7 @@ def load(path) -> Topology:
     for field in ("area_side", "range"):
         if field not in doc:
             raise ConfigurationError(f"{path}: missing required field {field!r}")
-        if not isinstance(doc[field], (int, float)):
+        if not _is_number(doc[field]):
             raise ConfigurationError(f"{path}: field {field!r} must be a number")
     nodes = doc.get("nodes")
     if not isinstance(nodes, list) or not nodes:
@@ -222,11 +242,11 @@ def load(path) -> Topology:
             nid, x, y = entry["id"], entry["x"], entry["y"]
         except KeyError as exc:
             raise ParseError(f"{path}: nodes[{idx}] is missing field {exc.args[0]!r}") from exc
-        if not isinstance(nid, int) or isinstance(nid, bool):
+        if not _is_int(nid):
             raise ParseError(f"{path}: nodes[{idx}].id must be an integer, got {nid!r}")
         if nid in by_id:
             raise ParseError(f"{path}: duplicate node id {nid} at nodes[{idx}]")
-        if not isinstance(x, (int, float)) or not isinstance(y, (int, float)):
+        if not (_is_number(x) and _is_number(y)):
             raise ParseError(f"{path}: nodes[{idx}] coordinates must be numbers")
         if not (math.isfinite(x) and math.isfinite(y)):
             raise ParseError(f"{path}: nodes[{idx}] coordinates must be finite")

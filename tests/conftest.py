@@ -1,5 +1,6 @@
-"""Shared topology builders and an independent brute-force reference solver."""
+"""Shared topology builders and independent brute-force references."""
 
+import collections
 import itertools
 import math
 import os
@@ -81,6 +82,21 @@ def brute_min_dominating_size(t):
             if len(covered) == t.n:
                 return size
     raise AssertionError("unreachable")
+
+
+def bfs_within(t, v, k):
+    """Nodes at most k hops from v (v included), by plain breadth-first search."""
+    dist = {v: 0}
+    queue = collections.deque([v])
+    while queue:
+        u = queue.popleft()
+        if dist[u] == k:
+            continue
+        for w in t.neighbors(u):
+            if w not in dist:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    return set(dist)
 
 
 @pytest.fixture

@@ -16,7 +16,7 @@ import pytest
 
 from antclust.aco import AcoParams, selection_probability, solve
 from antclust.baselines import WcaParams, highest_degree, kconid, lowest_id, wca
-from antclust.clustering import is_dominating, is_k_dominating
+from antclust.clustering import is_dominating
 from antclust.experiments import ExperimentSpec, run
 from antclust.geomgraph import TopologyConfig, generate
 from antclust.oracle import exact_min_dominating_set, greedy_min_dominating_set
@@ -121,8 +121,7 @@ def test_criterion_4_validity_suite():
     def check(t, heads, independent=False, k=1):
         nonlocal invocations
         invocations += 1
-        dominating = is_dominating(t, heads) if k == 1 else is_k_dominating(t, heads, k)
-        if not dominating:
+        if not is_dominating(t, heads, k):
             violations.append(f"non-dominating head set (k={k})")
         if independent:
             hs = sorted(heads)

@@ -1,7 +1,10 @@
+import hashlib
+import json
+
 import pytest
 
 from antclust.baselines import WcaParams, highest_degree, kconid, lowest_id, wca, wca_node_weight
-from antclust.clustering import is_dominating, is_k_dominating, validate_clustering
+from antclust.clustering import clustering_to_dict, is_dominating, validate_clustering
 from antclust.errors import ConfigurationError
 
 from conftest import (
@@ -72,14 +75,14 @@ class TestKconid:
         assert c.heads == frozenset({2})
         assert c.hops == 2
         assert set(c.assignment) == {0, 1, 3, 4}
-        assert is_k_dominating(t, c.heads, 2)
+        assert is_dominating(t, c.heads, 2)
 
     def test_k_dominating_on_random_graphs(self):
         for seed in range(5):
             t = random_topology(40, 200, 40, seed=seed)
             for k in (1, 2, 3):
                 c = kconid(t, k)
-                assert is_k_dominating(t, c.heads, k)
+                assert is_dominating(t, c.heads, k)
 
     def test_invalid_k(self, path3):
         with pytest.raises(ConfigurationError):
@@ -142,3 +145,50 @@ class TestAllBaselines:
         for seed in range(6):
             t = random_topology(35, 150, 50, seed=seed)
             assert heads_independent(t, solver(t).heads)
+
+
+# sha256 of the sorted-key JSON of clustering_to_dict (heads, assignment,
+# roles, hops) for n=60, R=150 in a 1000-side square, seeds 0-2; recorded
+# from the set-based election sweep that the matrix sweep replaced
+GOLDEN = {
+    0: {
+        "lowest_id": "18be801838dde28b5cafd8a4f74e7e016670c98fd270f79ddbd63f7092d119ff",
+        "highest_degree": "e099601ec4d77aaffc8281a8ec95195013dfb1c28c8c3ef3339aba7482a21fe7",
+        "kconid1": "e099601ec4d77aaffc8281a8ec95195013dfb1c28c8c3ef3339aba7482a21fe7",
+        "kconid2": "4ed68fb8bc78955c7b6559c7918fe2056f0f8af36f806ed92587415b4df59ce3",
+        "kconid3": "6bdaaaa0b86f9fd752b331d58d3ac8eb21bade00e8e73eb61ce00a89d4ece384",
+        "wca": "a25b6358c60b3834c6c78af285304324d0061f18a43fa60787f9c61ede917347",
+    },
+    1: {
+        "lowest_id": "45e187c8955fbee18fed1beb9d6678591c89b1ba4cc26e762ff3711cda35a2b3",
+        "highest_degree": "d72b75fe3f22a85bb733de8472be583239e0b0ad31fb0cfef5deabd665ddd5b2",
+        "kconid1": "d72b75fe3f22a85bb733de8472be583239e0b0ad31fb0cfef5deabd665ddd5b2",
+        "kconid2": "3738f4d14dc01cfbe851c46d0b340459f328aebdf5c1e98b636c95fadb325a30",
+        "kconid3": "2e1261d51a25604ea77d07dcd0915266b9f7bd83b07722c461a1c21e588601c2",
+        "wca": "ba56ba65f0cf8ee666e34c8dbb75bbb3e25b25994d6c59eeb545a39f4c200fd8",
+    },
+    2: {
+        "lowest_id": "e7c48447a58c960b5602bed24dd524e4d90f9e1d0b44033a8fc9a12cf99874d0",
+        "highest_degree": "3b91b8e4233b20307b60d9c072d281ab356a38cbf3bf675d4d20fde4ac10c775",
+        "kconid1": "3b91b8e4233b20307b60d9c072d281ab356a38cbf3bf675d4d20fde4ac10c775",
+        "kconid2": "365f0bc2d7b8801185b7a8fb8a9fbf8939ec24a7c4bd6e6cbc495caab83fce91",
+        "kconid3": "c016b6393288d4ca1a9b2009c2c19a8f77b8b048f5b335fb70b86464db547272",
+        "wca": "63e39f39d71a66d13e2e404eedea86f1c4306501d0b2b50fedf65da16707a7f2",
+    },
+}
+GOLDEN_SOLVERS = {
+    "lowest_id": lowest_id,
+    "highest_degree": highest_degree,
+    "kconid1": lambda t: kconid(t, 1),
+    "kconid2": lambda t: kconid(t, 2),
+    "kconid3": lambda t: kconid(t, 3),
+    "wca": wca,
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN))
+@pytest.mark.parametrize("name", sorted(GOLDEN_SOLVERS))
+def test_golden_clusterings(seed, name):
+    t = random_topology(60, 1000, 150, seed=seed)
+    doc = json.dumps(clustering_to_dict(GOLDEN_SOLVERS[name](t)), sort_keys=True)
+    assert hashlib.sha256(doc.encode()).hexdigest() == GOLDEN[seed][name]

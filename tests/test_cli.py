@@ -114,6 +114,21 @@ class TestSolve:
             assert r.returncode == 0, r.stderr
             assert f"heads={expected[name]} " in r.stdout, (name, r.stdout)
 
+    @pytest.mark.parametrize("algorithm, flags", [
+        ("aco", ["--alpha", "nan"]),
+        ("aco", ["--alpha", "inf"]),
+        ("aco", ["--beta", "nan"]),
+        ("aco", ["--deposit-quantum", "inf"]),
+        ("wca", ["--w1", "nan", "--w2", "0.2"]),
+        ("wca", ["--ideal-degree", "inf"]),
+    ])
+    def test_non_finite_parameter_exit_2(self, path4_file, algorithm, flags):
+        r = cli("solve", "--graph", path4_file, "--algorithm", algorithm, *flags)
+        assert r.returncode == 2
+        assert r.stderr.startswith("error:")
+        assert "Traceback" not in r.stderr
+        assert flags[0].lstrip("-").replace("-", "_") in r.stderr
+
     def test_malformed_graph_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("not a graph")
@@ -202,6 +217,8 @@ class TestExperiment:
         {"aco": {"dynamic_visibility": False}},
         {"wca": {"mobility": [1]}},
         {"ranges": 5},
+        {"aco": {"alpha": float("nan")}},
+        {"wca": {"mobility": {"0": float("inf")}}},
     ])
     def test_hostile_spec_exit_2_without_traceback(self, tmp_path, doc):
         # a tiny grid underneath, so a spec accepted by mistake fails fast

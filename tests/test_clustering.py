@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from antclust.clustering import (
@@ -8,13 +10,12 @@ from antclust.clustering import (
     assign_members,
     domination_number_lower_bound,
     is_dominating,
-    is_k_dominating,
     load_clustering,
     save_clustering,
     uncovered_nodes,
     validate_clustering,
 )
-from antclust.errors import NodeNotFoundError, ValidityError
+from antclust.errors import NodeNotFoundError, ParseError, ValidityError
 from antclust.oracle import greedy_min_dominating_set
 
 from conftest import (
@@ -123,13 +124,13 @@ class TestLowerBound:
 class TestKDominating:
     def test_path_two_hops(self):
         t = path_topology(5)
-        assert is_k_dominating(t, {2}, 2)
-        assert not is_k_dominating(t, {2}, 1)
+        assert is_dominating(t, {2}, 2)
+        assert not is_dominating(t, {2}, 1)
 
     def test_equals_plain_domination_for_k1(self):
         t = random_topology(20, 100, 25, seed=3)
         for heads in ({0}, {0, 5, 10}, set(range(t.n))):
-            assert is_k_dominating(t, heads, 1) == is_dominating(t, heads)
+            assert is_dominating(t, heads, hops=1) == is_dominating(t, heads)
 
 
 class TestJsonAndValidate:
@@ -141,6 +142,12 @@ class TestJsonAndValidate:
         back = load_clustering(p)
         assert back == c
         assert validate_clustering(t, back) == []
+
+    def test_bool_hops_rejected(self, tmp_path):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"heads": [0], "assignment": {}, "roles": {"0": HEAD}, "hops": True}))
+        with pytest.raises(ParseError, match="hops"):
+            load_clustering(p)
 
     def test_validate_flags_uncovered(self, path4):
         c = Clustering(heads=frozenset({1}), assignment={0: 1, 2: 1},

@@ -10,7 +10,6 @@ from antclust.experiments import (
     ExperimentResult,
     ExperimentSpec,
     RunRow,
-    export,
     export_aggregates_csv,
     export_json,
     export_rows_csv,
@@ -133,14 +132,6 @@ class TestExport:
         back = load_result_json(p)
         assert back.aggregates() == result.aggregates()
         assert back.rows == result.rows
-
-    def test_export_dispatch(self, tmp_path):
-        result = ExperimentResult([RunRow("hd", 10, 50.0, 0, 3, 1, 2.5)])
-        export(result, "csv", tmp_path / "a.csv")
-        export(result, "json", tmp_path / "a.json")
-        assert json.loads((tmp_path / "a.json").read_text())["rows"][0]["algorithm"] == "hd"
-        with pytest.raises(ConfigurationError):
-            export(result, "xml", tmp_path / "a.xml")
 
     def test_unwritable_path(self, tmp_path):
         result = ExperimentResult([RunRow("hd", 10, 50.0, 0, 3, 1, 2.5)])

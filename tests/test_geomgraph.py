@@ -7,7 +7,7 @@ import pytest
 from antclust.errors import ConfigurationError, NodeNotFoundError, ParseError
 from antclust.geomgraph import Topology, TopologyConfig, generate, load, save
 
-from conftest import complete_topology, make_topology, path_topology, random_topology, star_topology
+from conftest import bfs_within, complete_topology, make_topology, path_topology, random_topology, star_topology
 
 
 class TestConfig:
@@ -22,6 +22,11 @@ class TestConfig:
     def test_invalid_range(self):
         with pytest.raises(ConfigurationError, match="range"):
             TopologyConfig(n=3, range=-1).validate()
+
+    @pytest.mark.parametrize("field", ["n", "area_side", "range", "seed"])
+    def test_bool_rejected(self, field):
+        with pytest.raises(ConfigurationError, match=field):
+            TopologyConfig(**{"n": 3, field: True}).validate()
 
     def test_generate_requires_seed(self):
         with pytest.raises(ConfigurationError, match="seed"):
@@ -97,23 +102,27 @@ class TestClosedNeighborhood:
             path3.closed_neighborhood(9)
 
 
+def _within(t, v, k):
+    return set(np.flatnonzero(t.reach(k)[v]).tolist())
+
+
 class TestKHop:
     def test_path_two_hops(self, path4):
-        assert path4.k_hop_neighborhood(0, 2) == frozenset({1, 2})
+        assert _within(path4, 0, 2) == {0, 1, 2}
 
     def test_k1_equals_neighbors(self):
         t = random_topology(35, 100, 25, seed=9)
         for v in range(t.n):
-            assert t.k_hop_neighborhood(v, 1) == t.neighbors(v)
+            assert _within(t, v, 1) == t.closed_neighborhood(v)
 
     def test_complete_graph(self):
         t = complete_topology(6)
         for k in (1, 2, 5):
-            assert t.k_hop_neighborhood(0, k) == frozenset(range(1, 6))
+            assert _within(t, 0, k) == set(range(6))
 
     def test_k_at_least_one(self, path3):
         with pytest.raises(ValueError):
-            path3.k_hop_neighborhood(0, 0)
+            path3.reach(0)
 
     def test_full_depth_reaches_component(self):
         t = random_topology(30, 200, 40, seed=3)
@@ -127,7 +136,36 @@ class TestKHop:
                     if w not in seen:
                         seen.add(w)
                         queue.append(w)
-            assert t.k_hop_neighborhood(v, t.n) == frozenset(seen - {v})
+            assert _within(t, v, t.n) == seen
+
+
+class TestReach:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_plain_bfs(self, seed):
+        t = random_topology(45, 200, 35, seed=seed)
+        for k in (1, 2, 3, 4, t.n):
+            m = t.reach(k)
+            assert m.shape == (t.n, t.n) and m.dtype == bool
+            for v in range(t.n):
+                assert _within(t, v, k) == bfs_within(t, v, k), (k, v)
+
+    def test_k1_is_the_closed_neighborhood_matrix(self, path4):
+        assert path4.reach() is path4.closed_neighborhood_matrix
+        assert path4.reach(1) is path4.closed_neighborhood_matrix
+
+    def test_cached_per_k(self, path4):
+        assert path4.reach(2) is path4.reach(2)
+        assert (path4.reach(3) == path4.reach(9)).all()
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_read_only(self, path4, k):
+        with pytest.raises(ValueError):
+            path4.reach(k)[0, 3] = True
+
+    @pytest.mark.parametrize("k", [0, -1, True, False, 2.0, "2", None])
+    def test_bad_k_rejected(self, path3, k):
+        with pytest.raises(ValueError):
+            path3.reach(k)
 
 
 class TestAdjacencyProperties:
@@ -206,6 +244,20 @@ class TestSaveLoad:
         with pytest.warns(UserWarning, match="outside"):
             t = load(p)
         assert t.n == 2
+
+    @pytest.mark.parametrize("field, error", [
+        ("area_side", ConfigurationError), ("range", ConfigurationError), ("x", ParseError), ("y", ParseError),
+    ])
+    def test_bool_rejected(self, tmp_path, field, error):
+        doc = {"area_side": 10, "range": 2, "nodes": [{"id": 0, "x": 1, "y": 0}]}
+        if field in doc:
+            doc[field] = True
+        else:
+            doc["nodes"][0][field] = True
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(error, match="number"):
+            load(p)
 
     def test_not_json(self, tmp_path):
         p = tmp_path / "junk.json"
