@@ -6,7 +6,7 @@ against an exhaustive oracle, and benchmarks everything over seeded sweeps.
 """
 
 from .aco import AcoParams, AcoSolution, construct_solution, solve
-from .baselines import WcaParams, highest_degree, kconid, lowest_id, wca, wca_node_weight
+from .baselines import WcaParams, highest_degree, kconid, lowest_id, wca, wca_weights
 from .clustering import (
     Clustering,
     assign_members,
@@ -65,5 +65,5 @@ __all__ = [
     "solve",
     "validate_clustering",
     "wca",
-    "wca_node_weight",
+    "wca_weights",
 ]

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .geomgraph import Topology
+from .geomgraph import Topology, _is_int, _is_number
 
 
 @dataclass(frozen=True)
@@ -33,35 +33,39 @@ class AcoParams:
     concentration. ``greedy`` switches the per-step choice from
     roulette-wheel sampling to a deterministic argmax (ties to the lowest
     id); it runs one construction per iteration, since all ants would
-    coincide. ``iterations`` defaults to the node count when None.
+    coincide. ``iterations`` defaults to the node count when None. Valid
+    by construction: ``validate`` runs when it is built.
     """
 
     alpha: float = 9.0
     beta: float = 1.0
     ants: int = 20
     evaporation_rate: float = 0.1
-    deposit_quantum: float = 1.0
     greedy: bool = False
     iterations: int | None = None
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
-        for name in ("alpha", "beta", "deposit_quantum"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)!r}")
+        for name in ("alpha", "beta", "evaporation_rate"):
+            value = getattr(self, name)
+            if not (_is_number(value) and math.isfinite(value)):
+                raise ConfigurationError(f"{name} must be a finite number, got {value!r}")
         if self.alpha < 0 or self.beta < 0:
             raise ConfigurationError(f"alpha and beta must be >= 0, got alpha={self.alpha}, beta={self.beta}")
         if self.alpha + self.beta <= 0:
             raise ConfigurationError("alpha + beta must be > 0")
-        if not isinstance(self.ants, int) or self.ants < 1:
+        if not _is_int(self.ants) or self.ants < 1:
             raise ConfigurationError(f"ants must be an integer >= 1, got {self.ants!r}")
         if not 0 <= self.evaporation_rate < 1:
             raise ConfigurationError(f"evaporation_rate must be in [0, 1), got {self.evaporation_rate!r}")
-        if self.deposit_quantum <= 0:
-            raise ConfigurationError(f"deposit_quantum must be > 0, got {self.deposit_quantum!r}")
-        if self.iterations is not None and (not isinstance(self.iterations, int) or self.iterations < 1):
+        if not isinstance(self.greedy, bool):
+            raise ConfigurationError(f"greedy must be true or false, got {self.greedy!r}")
+        if self.iterations is not None and (not _is_int(self.iterations) or self.iterations < 1):
             raise ConfigurationError(f"iterations must be None or an integer >= 1, got {self.iterations!r}")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if not _is_int(self.seed) or self.seed < 0:
             raise ConfigurationError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
@@ -100,7 +104,6 @@ def selection_probability(t: Topology, ph: np.ndarray, params: AcoParams, candid
     outside ``covered`` (degree + 1 when nothing is covered). These are the
     scores ``construct_solution`` samples from.
     """
-    params.validate()
     ph = _checked_pheromone(ph, t.n)
     cand = sorted({t._check_id(v) for v in candidates})
     if not cand:
@@ -119,10 +122,10 @@ def update_pheromone(ph: np.ndarray, best_heads, params: AcoParams) -> np.ndarra
     """Evaporate everywhere, then reinforce the given heads; returns a new array.
 
     Every value is multiplied by (1 - evaporation_rate); each head then
-    receives deposit_quantum * n / |best_heads|, so smaller head sets are
-    reinforced more strongly per node.
+    receives n / |best_heads|, so smaller head sets are reinforced more
+    strongly per node. (A deposit scale would be redundant: the scores only
+    read beta * pheromone.)
     """
-    params.validate()
     ph = _checked_pheromone(ph)
     heads = sorted({int(v) for v in best_heads})
     if not heads:
@@ -131,7 +134,7 @@ def update_pheromone(ph: np.ndarray, best_heads, params: AcoParams) -> np.ndarra
     if heads[0] < 0 or heads[-1] >= n:
         raise ValueError(f"head ids must be within 0..{n - 1}")
     values = ph * (1.0 - params.evaporation_rate)
-    values[heads] += params.deposit_quantum * n / len(heads)
+    values[heads] += n / len(heads)
     return values
 
 
@@ -142,7 +145,6 @@ def construct_solution(t: Topology, ph: np.ndarray, params: AcoParams, start, rn
     least one node; every uncovered node qualifies, so the loop always makes
     progress and finishes within n additions.
     """
-    params.validate()
     start = t._check_id(start)
     ph = _checked_pheromone(ph, t.n)
     closed = t.closed_neighborhood_matrix
@@ -239,9 +241,6 @@ def solve(t: Topology, params: AcoParams | None = None) -> AcoSolution:
     which is the answer.
     """
     params = params if params is not None else AcoParams()
-    params.validate()
-    if t.n < 1:
-        raise ConfigurationError("topology must have at least one node")
     iterations = params.iterations if params.iterations is not None else t.n
     # greedy constructions ignore the RNG, so every ant of an iteration
     # would coincide; one construction is enough

@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 import numpy as np
 
 from .clustering import Clustering, compute_roles
 from .errors import ConfigurationError
-from .geomgraph import Topology
+from .geomgraph import Topology, _is_number
 
 
 @dataclass(frozen=True)
@@ -28,7 +29,8 @@ class WcaParams:
     The four weighting factors must sum to 1. ``ideal_degree`` is the target
     degree a head should have; ``mobility`` and ``head_tenure`` are optional
     per-node maps (average speed, cumulative time served as head) that
-    default to 0 on static snapshots.
+    default to 0 on static snapshots. Valid by construction: ``validate``
+    runs when it is built, and the maps are kept as read-only copies.
     """
 
     w1: float = 0.7
@@ -39,14 +41,22 @@ class WcaParams:
     mobility: Mapping[int, float] | None = None
     head_tenure: Mapping[int, float] | None = None
 
+    def __post_init__(self) -> None:
+        for name in ("mobility", "head_tenure"):
+            m = getattr(self, name)
+            if m is not None:
+                object.__setattr__(self, name, MappingProxyType(dict(m)))
+        self.validate()
+
     def validate(self) -> None:
         for name in ("w1", "w2", "w3", "w4", "ideal_degree"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if not (_is_number(value) and math.isfinite(value)):
+                raise ConfigurationError(f"{name} must be a finite number, got {value!r}")
         for name in ("mobility", "head_tenure"):
             for v, x in (getattr(self, name) or {}).items():
-                if not math.isfinite(x):
-                    raise ConfigurationError(f"{name}[{v!r}] must be finite, got {x!r}")
+                if not (_is_number(x) and math.isfinite(x)):
+                    raise ConfigurationError(f"{name}[{v!r}] must be a finite number, got {x!r}")
         for name in ("w1", "w2", "w3", "w4"):
             if getattr(self, name) < 0:
                 raise ConfigurationError(f"{name} must be >= 0, got {getattr(self, name)!r}")
@@ -57,16 +67,15 @@ class WcaParams:
             raise ConfigurationError(f"ideal_degree must be >= 0, got {self.ideal_degree!r}")
 
 
-def wca_node_weight(t: Topology, v, p: WcaParams) -> float:
-    """Combined election weight: degree deviation, neighbor distances, mobility, tenure."""
-    p.validate()
-    v = t._check_id(v)
-    degree_diff = abs(t.degree(v) - p.ideal_degree)
-    x, y = t.positions[v]
-    dist_sum = sum(math.dist((x, y), t.positions[u]) for u in t.neighbors(v))
-    mobility = float(p.mobility.get(v, 0.0)) if p.mobility else 0.0
-    tenure = float(p.head_tenure.get(v, 0.0)) if p.head_tenure else 0.0
-    return p.w1 * degree_diff + p.w2 * dist_sum + p.w3 * mobility + p.w4 * tenure
+def wca_weights(t: Topology, p: WcaParams) -> np.ndarray:
+    """Combined election weight of every node: degree deviation, summed
+    neighbour distances, mobility and tenure."""
+    x, y = np.array(t.positions).T
+    u, w = np.nonzero(t.adjacency_matrix)
+    dist_sum = np.bincount(u, weights=np.hypot(x[u] - x[w], y[u] - y[w]), minlength=t.n)
+    mobility = np.array([(p.mobility or {}).get(v, 0.0) for v in range(t.n)], dtype=float)
+    tenure = np.array([(p.head_tenure or {}).get(v, 0.0) for v in range(t.n)], dtype=float)
+    return p.w1 * np.abs(t.degrees - p.ideal_degree) + p.w2 * dist_sum + p.w3 * mobility + p.w4 * tenure
 
 
 def _elect(t: Topology, order: Iterable[int], reach: np.ndarray, hops: int = 1) -> Clustering:
@@ -116,6 +125,4 @@ def kconid(t: Topology, k: int = 1) -> Clustering:
 def wca(t: Topology, p: WcaParams | None = None) -> Clustering:
     """The undecided node with the minimum combined weight wins; ties go to the lower id."""
     p = p if p is not None else WcaParams()
-    p.validate()
-    weights = [wca_node_weight(t, v, p) for v in range(t.n)]
-    return _elect(t, _ranked(weights), t.reach(1))
+    return _elect(t, _ranked(wca_weights(t, p)), t.reach(1))

@@ -11,6 +11,7 @@ import argparse
 import os
 import sys
 import time
+from dataclasses import fields
 
 from . import aco, baselines, clustering, experiments, geomgraph, oracle
 from .errors import AntclustError, NodeLimitError
@@ -30,8 +31,6 @@ def _add_aco_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ants", type=int, default=d.ants, help="constructions per iteration (default %(default)s)")
     p.add_argument("--evaporation-rate", type=float, default=d.evaporation_rate,
                    help="pheromone decay per iteration, in [0,1) (default %(default)s)")
-    p.add_argument("--deposit-quantum", type=float, default=d.deposit_quantum,
-                   help="pheromone deposit scale (default %(default)s)")
     p.add_argument("--greedy", action="store_true", help="pick the argmax instead of roulette sampling")
     p.add_argument("--iterations", type=int, default=d.iterations,
                    help="iteration count (default: the node count)")
@@ -49,16 +48,8 @@ def _add_wca_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _aco_params(args: argparse.Namespace) -> aco.AcoParams:
-    return aco.AcoParams(
-        alpha=args.alpha,
-        beta=args.beta,
-        ants=args.ants,
-        evaporation_rate=args.evaporation_rate,
-        deposit_quantum=args.deposit_quantum,
-        greedy=args.greedy,
-        iterations=args.iterations,
-        seed=args.seed,
-    )
+    # the flags' argparse dest names are the AcoParams field names
+    return aco.AcoParams(**{f.name: getattr(args, f.name) for f in fields(aco.AcoParams)})
 
 
 def _wca_params(args: argparse.Namespace) -> baselines.WcaParams:

@@ -4,15 +4,16 @@ validate and collect head counts, aggregate, and export CSV/JSON."""
 from __future__ import annotations
 
 import json
+import math
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from statistics import fmean
 from typing import Callable
 
 from . import aco, baselines, oracle
 from .clustering import Clustering, assign_members, is_dominating
 from .errors import ConfigurationError, ParseError, ValidityError
-from .geomgraph import Topology, TopologyConfig, generate
+from .geomgraph import Topology, TopologyConfig, _is_int, _is_number, generate
 
 
 def _aco(t: Topology, spec: ExperimentSpec) -> tuple[Clustering, int]:
@@ -43,6 +44,9 @@ DEFAULT_SEEDS = tuple(range(10))
 
 @dataclass(frozen=True)
 class ExperimentSpec:
+    """A sweep grid, its solvers and their settings. Valid by construction:
+    the sequences are stored as tuples and ``validate`` runs when it is built."""
+
     node_counts: tuple[int, ...] = DEFAULT_NODE_COUNTS
     ranges: tuple[float, ...] = DEFAULT_RANGES
     area_side: float = 1000.0
@@ -53,24 +57,33 @@ class ExperimentSpec:
     kconid_k: int = 1
     oracle_node_limit: int = oracle.DEFAULT_NODE_LIMIT
 
+    def __post_init__(self) -> None:
+        for name in ("node_counts", "ranges", "seeds", "algorithms"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        self.validate()
+
     def validate(self) -> None:
-        if not self.node_counts or any(not isinstance(n, int) or n < 1 for n in self.node_counts):
+        if not self.node_counts or any(not _is_int(n) or n < 1 for n in self.node_counts):
             raise ConfigurationError(f"node_counts must be a non-empty list of integers >= 1, got {self.node_counts!r}")
-        if not self.ranges or any(r <= 0 for r in self.ranges):
-            raise ConfigurationError(f"ranges must be a non-empty list of positive numbers, got {self.ranges!r}")
-        if self.area_side <= 0:
-            raise ConfigurationError(f"area_side must be positive, got {self.area_side!r}")
-        if not self.seeds:
-            raise ConfigurationError("seeds must be non-empty")
+        if not self.ranges or any(not (_is_number(r) and math.isfinite(r) and r > 0) for r in self.ranges):
+            raise ConfigurationError(f"ranges must be a non-empty list of finite positive numbers, got {self.ranges!r}")
+        if not (_is_number(self.area_side) and math.isfinite(self.area_side) and self.area_side > 0):
+            raise ConfigurationError(f"area_side must be a finite positive number, got {self.area_side!r}")
+        if not self.seeds or any(not _is_int(s) or s < 0 for s in self.seeds):
+            raise ConfigurationError(f"seeds must be a non-empty list of integers >= 0, got {self.seeds!r}")
         if not self.algorithms:
             raise ConfigurationError("algorithms must be non-empty")
         for name in self.algorithms:
             if name not in ALGORITHMS:
                 raise ConfigurationError(f"unknown algorithm {name!r}; known: {', '.join(ALGORITHMS)}")
-        if not isinstance(self.kconid_k, int) or self.kconid_k < 1:
+        if not _is_int(self.kconid_k) or self.kconid_k < 1:
             raise ConfigurationError(f"kconid_k must be an integer >= 1, got {self.kconid_k!r}")
-        self.aco.validate()
-        self.wca.validate()
+        if not _is_int(self.oracle_node_limit) or self.oracle_node_limit < 1:
+            raise ConfigurationError(f"oracle_node_limit must be an integer >= 1, got {self.oracle_node_limit!r}")
+        if not isinstance(self.aco, aco.AcoParams):
+            raise ConfigurationError(f"aco must be an AcoParams, got {self.aco!r}")
+        if not isinstance(self.wca, baselines.WcaParams):
+            raise ConfigurationError(f"wca must be a WcaParams, got {self.wca!r}")
 
 
 @dataclass(frozen=True)
@@ -141,23 +154,16 @@ def elect(t: Topology, algorithm: str, spec: ExperimentSpec) -> tuple[Clustering
 def run(spec: ExperimentSpec) -> ExperimentResult:
     """Execute the sweep. Solver failures are recorded per row, never fatal.
 
-    Each row runs ``elect`` on the topology generated from (n, range, seed),
-    with the colony seeded by the same seed.
+    Each topology is generated once from (n, range, seed); every algorithm
+    runs ``elect`` on it, with the colony seeded by the same seed.
     """
-    spec.validate()
-    topologies: dict[tuple[int, float, int], Topology] = {}
     rows: list[RunRow] = []
-    for algorithm in spec.algorithms:
-        for n in spec.node_counts:
-            for rng in spec.ranges:
-                for seed in spec.seeds:
-                    key = (n, float(rng), seed)
-                    if key not in topologies:
-                        topologies[key] = generate(
-                            TopologyConfig(n=n, area_side=spec.area_side, range=float(rng), seed=seed)
-                        )
-                    t = topologies[key]
-                    seeded = replace(spec, aco=replace(spec.aco, seed=seed))
+    for n in spec.node_counts:
+        for rng in spec.ranges:
+            for seed in spec.seeds:
+                t = generate(TopologyConfig(n=n, area_side=spec.area_side, range=float(rng), seed=seed))
+                seeded = replace(spec, aco=replace(spec.aco, seed=seed))
+                for algorithm in spec.algorithms:
                     t0 = time.perf_counter()
                     try:
                         c, iterations = elect(t, algorithm, seeded)
@@ -229,14 +235,10 @@ def load_result_json(path) -> ExperimentResult:
 
 # -- spec files ----------------------------------------------------------------
 
-_SPEC_KEYS = {
-    "node_counts", "ranges", "area_side", "seeds", "algorithms",
-    "aco", "wca", "kconid_k", "oracle_node_limit",
-}
-
-
 def load_spec(path) -> ExperimentSpec:
-    """Read an ExperimentSpec from JSON; keys mirror the dataclass fields."""
+    """Read an ExperimentSpec from JSON; keys are the dataclass field names.
+    Values pass through to the constructors, which check them, except the
+    WCA map keys: JSON writes them as strings, so they are read as ids."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -244,33 +246,18 @@ def load_spec(path) -> ExperimentSpec:
         raise ParseError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top-level value must be an object")
-    unknown = set(doc) - _SPEC_KEYS
+    unknown = set(doc) - {f.name for f in fields(ExperimentSpec)}
     if unknown:
         raise ConfigurationError(f"{path}: unknown spec fields: {sorted(unknown)}")
-    kwargs: dict = {}
     try:
-        for key in ("node_counts", "seeds"):
-            if key in doc:
-                kwargs[key] = tuple(int(x) for x in doc[key])
-        if "ranges" in doc:
-            kwargs["ranges"] = tuple(float(x) for x in doc["ranges"])
-        if "algorithms" in doc:
-            kwargs["algorithms"] = tuple(str(x) for x in doc["algorithms"])
-        if "area_side" in doc:
-            kwargs["area_side"] = float(doc["area_side"])
-        for key in ("kconid_k", "oracle_node_limit"):
-            if key in doc:
-                kwargs[key] = int(doc[key])
         if "aco" in doc:
-            kwargs["aco"] = aco.AcoParams(**doc["aco"])
+            doc["aco"] = aco.AcoParams(**doc["aco"])
         if "wca" in doc:
             wca_kwargs = dict(doc["wca"])
             for mapping_key in ("mobility", "head_tenure"):
                 if wca_kwargs.get(mapping_key) is not None:
-                    wca_kwargs[mapping_key] = {int(k): float(v) for k, v in wca_kwargs[mapping_key].items()}
-            kwargs["wca"] = baselines.WcaParams(**wca_kwargs)
-        spec = ExperimentSpec(**kwargs)
-        spec.validate()
+                    wca_kwargs[mapping_key] = {int(k): v for k, v in wca_kwargs[mapping_key].items()}
+            doc["wca"] = baselines.WcaParams(**wca_kwargs)
+        return ExperimentSpec(**doc)
     except (TypeError, ValueError, AttributeError) as exc:
         raise ConfigurationError(f"{path}: bad spec: {exc}") from exc
-    return spec

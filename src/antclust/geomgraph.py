@@ -37,13 +37,17 @@ class TopologyConfig:
     """Generation parameters: node count, square side, radio range, RNG seed.
 
     ``seed`` is None for topologies loaded from a file (their positions were
-    not generated here).
+    not generated here). Valid by construction: ``validate`` runs when it
+    is built.
     """
 
     n: int
     area_side: float = 1000.0
     range: float = 200.0
     seed: int | None = 0
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     def validate(self) -> None:
         if not _is_int(self.n) or self.n < 1:
@@ -65,7 +69,6 @@ class Topology:
     """
 
     def __init__(self, config: TopologyConfig, positions) -> None:
-        config.validate()
         pts = [(float(x), float(y)) for x, y in positions]
         if len(pts) != config.n:
             raise ConfigurationError(f"n={config.n} but {len(pts)} positions given")
@@ -74,8 +77,12 @@ class Topology:
                 raise ConfigurationError(f"position of node {i} is not finite: ({x!r}, {y!r})")
         self._config = config
         self._positions = tuple(pts)
-        arr = np.array(pts, dtype=float).reshape(config.n, 2)
-        d2 = ((arr[:, None, :] - arr[None, :, :]) ** 2).sum(axis=2)
+        x, y = np.array(pts).T
+        d2 = np.subtract.outer(x, x)
+        d2 *= d2
+        dy = np.subtract.outer(y, y)
+        dy *= dy
+        d2 += dy
         adj = d2 < float(config.range) * float(config.range)
         np.fill_diagonal(adj, False)
         adj.flags.writeable = False
@@ -190,7 +197,6 @@ def generate(config: TopologyConfig) -> Topology:
     Deterministic: the same config (including seed) always produces the
     identical topology.
     """
-    config.validate()
     if config.seed is None:
         raise ConfigurationError("seed must be set to generate a topology")
     rng = np.random.default_rng(config.seed)

@@ -61,12 +61,15 @@ def greedy_min_dominating_set(t: Topology) -> set[int]:
     """Greedy reference: repeatedly head the uncovered node that newly covers
     the most nodes (ties to the lower id) until everything is covered."""
     closed = t.closed_neighborhood_matrix
+    # gains[v] = uncovered nodes v would newly cover, kept up to date
+    gains = (t.degrees + 1).astype(np.int64)
     covered = np.zeros(t.n, dtype=bool)
     heads: list[int] = []
     while not covered.all():
-        cand = np.flatnonzero(~covered)
-        gains = closed[np.ix_(cand, cand)].sum(axis=1)
-        pick = int(cand[int(np.argmax(gains))])  # first max: lowest id on ties
+        # uncovered nodes gain >= 1 (themselves); first max: lowest id on ties
+        pick = int(np.argmax(np.where(covered, -1, gains)))
         heads.append(pick)
-        covered |= closed[pick]
+        newly = closed[pick] & ~covered
+        covered[newly] = True
+        gains -= closed[np.flatnonzero(newly)].sum(axis=0)
     return set(heads)

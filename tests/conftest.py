@@ -84,6 +84,28 @@ def brute_min_dominating_size(t):
     raise AssertionError("unreachable")
 
 
+def greedy_reference(t):
+    """Greedy dominating set by plain sets: head the uncovered node that
+    newly covers the most nodes, lowest id on ties."""
+    closed = {v: set(t.closed_neighborhood(v)) for v in range(t.n)}
+    uncovered = set(range(t.n))
+    heads = set()
+    while uncovered:
+        pick = max(sorted(uncovered), key=lambda v: len(closed[v] & uncovered))  # first max: lowest id
+        heads.add(pick)
+        uncovered -= closed[pick]
+    return heads
+
+
+def wca_weight_reference(t, v, p):
+    """WCA weight of node v by a plain loop over its neighbours."""
+    x, y = t.positions[v]
+    dist_sum = sum(math.dist((x, y), t.positions[u]) for u in sorted(t.neighbors(v)))
+    mobility = (p.mobility or {}).get(v, 0.0)
+    tenure = (p.head_tenure or {}).get(v, 0.0)
+    return p.w1 * abs(t.degree(v) - p.ideal_degree) + p.w2 * dist_sum + p.w3 * mobility + p.w4 * tenure
+
+
 def bfs_within(t, v, k):
     """Nodes at most k hops from v (v included), by plain breadth-first search."""
     dist = {v: 0}

@@ -37,12 +37,18 @@ class TestParams:
 
     @pytest.mark.parametrize("kwargs", [
         {"alpha": -1}, {"beta": -0.5}, {"alpha": 0, "beta": 0}, {"ants": 0},
-        {"evaporation_rate": 1.0}, {"evaporation_rate": -0.1}, {"deposit_quantum": 0},
+        {"evaporation_rate": 1.0}, {"evaporation_rate": -0.1}, {"beta": float("inf")},
         {"iterations": 0}, {"seed": -3},
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ConfigurationError):
             AcoParams(**kwargs).validate()
+
+
+    @pytest.mark.parametrize("kwargs", [{"ants": True}, {"greedy": "no"}, {"seed": False}, {"alpha": "9"}])
+    def test_rejected_when_built(self, kwargs):
+        with pytest.raises(ConfigurationError):
+            AcoParams(**kwargs)
 
 
 class TestNodeWeight:
@@ -226,7 +232,7 @@ class TestImproveTwoForOne:
 class TestUpdatePheromone:
     def test_deposit_split_across_heads(self):
         ph = np.zeros(10)
-        out = update_pheromone(ph, {2, 7}, AcoParams(evaporation_rate=0.0, deposit_quantum=1.0))
+        out = update_pheromone(ph, {2, 7}, AcoParams(evaporation_rate=0.0))
         assert out[2] == pytest.approx(5.0)
         assert out[7] == pytest.approx(5.0)
         assert out[0] == 0.0
@@ -242,8 +248,8 @@ class TestUpdatePheromone:
 
     def test_values_bounded_and_non_negative(self):
         n = 12
-        params = AcoParams(evaporation_rate=0.1, deposit_quantum=1.0)
-        bound = params.deposit_quantum * n / params.evaporation_rate
+        params = AcoParams(evaporation_rate=0.1)
+        bound = n / params.evaporation_rate
         rng = rng_for(3)
         ph = np.zeros(n)
         for _ in range(1000):

@@ -1,9 +1,10 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
-from antclust.baselines import WcaParams, highest_degree, kconid, lowest_id, wca, wca_node_weight
+from antclust.baselines import WcaParams, highest_degree, kconid, lowest_id, wca, wca_weights
 from antclust.clustering import clustering_to_dict, is_dominating, validate_clustering
 from antclust.errors import ConfigurationError
 
@@ -13,6 +14,7 @@ from conftest import (
     path_topology,
     random_topology,
     star_topology,
+    wca_weight_reference,
 )
 
 
@@ -92,20 +94,48 @@ class TestKconid:
 class TestWcaWeight:
     def test_zero_degree_difference(self, path3):
         p = WcaParams(w1=1, w2=0, w3=0, w4=0, ideal_degree=2)
-        assert wca_node_weight(path3, 1, p) == 0.0
+        assert wca_weights(path3, p)[1] == 0.0
 
     def test_distance_sum(self):
         t = make_topology([(0, 0), (3, 0), (0, 4)], 4.5)
         p = WcaParams(w1=0, w2=1, w3=0, w4=0)
-        assert wca_node_weight(t, 0, p) == pytest.approx(7.0)
+        assert wca_weights(t, p)[0] == pytest.approx(7.0)
 
     def test_mobility_and_tenure(self, path3):
         p = WcaParams(w1=0, w2=0, w3=0.5, w4=0.5, mobility={1: 2.0}, head_tenure={1: 4.0})
-        assert wca_node_weight(path3, 1, p) == pytest.approx(3.0)
+        assert wca_weights(path3, p)[1] == pytest.approx(3.0)
+
+    def test_matches_loop_reference(self):
+        # the array sums distances in another order than the loop, so the
+        # two may differ in the last bits of a float64
+        for seed in range(12):
+            t = random_topology(60, 300, 90, seed=seed)
+            p = WcaParams(mobility={v: 0.5 * v for v in range(0, 60, 4)}, head_tenure={3: 2.0, 70: 1.0})
+            expected = [wca_weight_reference(t, v, p) for v in range(t.n)]
+            np.testing.assert_allclose(wca_weights(t, p), expected, rtol=1e-12)
 
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ConfigurationError, match="w1"):
             WcaParams(w1=0.5, w2=0.2, w3=0.1, w4=0.1).validate()
+
+    @pytest.mark.parametrize("kwargs", [
+        {"w1": True, "w2": 0, "w3": 0, "w4": 0},
+        {"ideal_degree": True},
+        {"mobility": {0: True}},
+    ])
+    def test_rejected_when_built(self, kwargs):
+        with pytest.raises(ConfigurationError):
+            WcaParams(**kwargs)
+
+    def test_maps_are_copied(self, path3):
+        mobility = {1: 2.0}
+        p = WcaParams(w1=0, w2=0, w3=1, w4=0, mobility=mobility)
+        mobility[1] = float("nan")
+        mobility[0] = 5.0
+        assert dict(p.mobility) == {1: 2.0}
+        assert wca_weights(path3, p).tolist() == [0.0, 2.0, 0.0]
+        with pytest.raises(TypeError):
+            p.mobility[1] = 3.0
 
 
 class TestWca:

@@ -118,7 +118,7 @@ class TestSolve:
         ("aco", ["--alpha", "nan"]),
         ("aco", ["--alpha", "inf"]),
         ("aco", ["--beta", "nan"]),
-        ("aco", ["--deposit-quantum", "inf"]),
+        ("aco", ["--beta", "inf"]),
         ("wca", ["--w1", "nan", "--w2", "0.2"]),
         ("wca", ["--ideal-degree", "inf"]),
     ])
@@ -128,6 +128,18 @@ class TestSolve:
         assert r.stderr.startswith("error:")
         assert "Traceback" not in r.stderr
         assert flags[0].lstrip("-").replace("-", "_") in r.stderr
+
+    @pytest.mark.parametrize("algorithm, flags", [
+        ("lic", ["--alpha", "nan"]),
+        ("aco", ["--k", "0"]),
+    ])
+    def test_invalid_setting_exit_2_whatever_the_algorithm(self, path4_file, algorithm, flags):
+        # every setting is checked when the CLI builds it, not only by the
+        # solver that reads it
+        r = cli("solve", "--graph", path4_file, "--algorithm", algorithm, *flags)
+        assert r.returncode == 2
+        assert r.stderr.startswith("error:")
+        assert "Traceback" not in r.stderr
 
     def test_malformed_graph_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -219,6 +231,17 @@ class TestExperiment:
         {"ranges": 5},
         {"aco": {"alpha": float("nan")}},
         {"wca": {"mobility": {"0": float("inf")}}},
+        {"seeds": [1.7]},
+        {"seeds": ["3"]},
+        {"node_counts": [True]},
+        {"kconid_k": 2.9},
+        {"area_side": True},
+        {"ranges": [True]},
+        {"oracle_node_limit": 3.5},
+        {"aco": {"ants": True}},
+        {"aco": {"greedy": "no"}},
+        {"wca": {"w1": True, "w2": 0, "w3": 0, "w4": 0}},
+        {"aco": {"deposit_quantum": 1.0}},
     ])
     def test_hostile_spec_exit_2_without_traceback(self, tmp_path, doc):
         # a tiny grid underneath, so a spec accepted by mistake fails fast

@@ -45,6 +45,18 @@ class TestSpecValidation:
         with pytest.raises(ConfigurationError, match="node_counts"):
             tiny_spec(node_counts=(0,)).validate()
 
+    def test_sequences_stored_as_tuples(self):
+        spec = tiny_spec(node_counts=[12], ranges=[120.0], seeds=[0, 1], algorithms=["hd"])
+        assert (spec.node_counts, spec.ranges, spec.seeds, spec.algorithms) == ((12,), (120.0,), (0, 1), ("hd",))
+
+    @pytest.mark.parametrize("overrides", [
+        {"seeds": (-1,)}, {"seeds": (1.5,)}, {"ranges": (float("inf"),)}, {"area_side": float("nan")},
+        {"kconid_k": True}, {"oracle_node_limit": 0}, {"aco": {"ants": 2}},
+    ])
+    def test_rejected_when_built(self, overrides):
+        with pytest.raises(ConfigurationError):
+            tiny_spec(**overrides)
+
     def test_defaults_are_the_benchmark_grid(self):
         spec = ExperimentSpec()
         spec.validate()

@@ -13,6 +13,7 @@ from conftest import (
     brute_min_dominating_size,
     complete_topology,
     edgeless_topology,
+    greedy_reference,
     path_topology,
     random_topology,
     star_topology,
@@ -85,6 +86,18 @@ class TestGreedy:
             heads = greedy_min_dominating_set(t)
             assert is_dominating(t, heads)
             assert heads == greedy_min_dominating_set(t)
+
+
+    def test_matches_set_based_reference(self):
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            t = random_topology(int(rng.integers(1, 120)), 300, float(rng.uniform(20, 200)), seed=seed)
+            assert greedy_min_dominating_set(t) == greedy_reference(t)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 12])
+    def test_matches_reference_where_every_gain_ties(self, n):
+        for t in (complete_topology(n), edgeless_topology(n)):
+            assert greedy_min_dominating_set(t) == greedy_reference(t)
 
 
 class TestOrdering:
