@@ -2,7 +2,7 @@
 
 Builds unit-disk topologies, elects minimal cluster-head (dominating) sets
 with an ant-colony search and four classical baselines, checks results
-against an exhaustive oracle, and benchmarks everything over seeded sweeps.
+against an exact MILP oracle, and benchmarks everything over seeded sweeps.
 """
 
 from .aco import AcoParams, AcoSolution, construct_solution, solve
@@ -10,7 +10,6 @@ from .baselines import WcaParams, highest_degree, kconid, lowest_id, wca, wca_we
 from .clustering import (
     Clustering,
     assign_members,
-    domination_number_lower_bound,
     is_dominating,
     load_clustering,
     save_clustering,
@@ -49,7 +48,6 @@ __all__ = [
     "WcaParams",
     "assign_members",
     "construct_solution",
-    "domination_number_lower_bound",
     "exact_min_dominating_set",
     "generate",
     "greedy_min_dominating_set",

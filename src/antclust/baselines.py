@@ -19,7 +19,7 @@ import numpy as np
 
 from .clustering import Clustering, compute_roles
 from .errors import ConfigurationError
-from .geomgraph import Topology, _is_number
+from .geomgraph import Topology, _is_int, _is_number
 
 
 @dataclass(frozen=True)
@@ -55,6 +55,8 @@ class WcaParams:
                 raise ConfigurationError(f"{name} must be a finite number, got {value!r}")
         for name in ("mobility", "head_tenure"):
             for v, x in (getattr(self, name) or {}).items():
+                if not (_is_int(v) and v >= 0):
+                    raise ConfigurationError(f"{name} keys must be node ids (integers >= 0), got {v!r}")
                 if not (_is_number(x) and math.isfinite(x)):
                     raise ConfigurationError(f"{name}[{v!r}] must be a finite number, got {x!r}")
         for name in ("w1", "w2", "w3", "w4"):
@@ -73,9 +75,18 @@ def wca_weights(t: Topology, p: WcaParams) -> np.ndarray:
     x, y = np.array(t.positions).T
     u, w = np.nonzero(t.adjacency_matrix)
     dist_sum = np.bincount(u, weights=np.hypot(x[u] - x[w], y[u] - y[w]), minlength=t.n)
-    mobility = np.array([(p.mobility or {}).get(v, 0.0) for v in range(t.n)], dtype=float)
-    tenure = np.array([(p.head_tenure or {}).get(v, 0.0) for v in range(t.n)], dtype=float)
+    mobility = _per_node(t, "mobility", p.mobility)
+    tenure = _per_node(t, "head_tenure", p.head_tenure)
     return p.w1 * np.abs(t.degrees - p.ideal_degree) + p.w2 * dist_sum + p.w3 * mobility + p.w4 * tenure
+
+
+def _per_node(t: Topology, name: str, m: Mapping[int, float] | None) -> np.ndarray:
+    """A per-node map as an array; nodes the map leaves out read 0."""
+    m = m or {}
+    strays = sorted(v for v in m if v >= t.n)
+    if strays:
+        raise ConfigurationError(f"{name} keys {strays} are not node ids of this topology (0..{t.n - 1})")
+    return np.array([m.get(v, 0.0) for v in range(t.n)], dtype=float)
 
 
 def _elect(t: Topology, order: Iterable[int], reach: np.ndarray, hops: int = 1) -> Clustering:

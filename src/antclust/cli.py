@@ -13,7 +13,7 @@ import sys
 import time
 from dataclasses import fields
 
-from . import aco, baselines, clustering, experiments, geomgraph, oracle
+from . import aco, baselines, clustering, experiments, geomgraph
 from .errors import AntclustError, NodeLimitError
 
 EXIT_OK = 0
@@ -57,8 +57,7 @@ def _wca_params(args: argparse.Namespace) -> baselines.WcaParams:
 
 
 def _spec(args: argparse.Namespace) -> experiments.ExperimentSpec:
-    return experiments.ExperimentSpec(aco=_aco_params(args), wca=_wca_params(args), kconid_k=args.k,
-                                      oracle_node_limit=args.node_limit)
+    return experiments.ExperimentSpec(aco=_aco_params(args), wca=_wca_params(args), kconid_k=args.k)
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -114,6 +113,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _cmd_experiment(args: argparse.Namespace) -> int:
     spec = experiments.load_spec(args.spec) if args.spec else experiments.ExperimentSpec()
     result = experiments.run(spec)
+    if not result.ok_rows():
+        raise AntclustError(f"every run failed, first with {result.rows[0].error}")
     os.makedirs(args.out, exist_ok=True)
     rows_path = os.path.join(args.out, "rows.csv")
     agg_path = os.path.join(args.out, "aggregates.csv")
@@ -161,8 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algorithm", required=True, choices=ALGORITHM_CHOICES)
     p.add_argument("--out", default=None, help="output clustering JSON path")
     p.add_argument("--k", type=int, default=1, help="hop radius for kconid (default %(default)s)")
-    p.add_argument("--node-limit", type=int, default=oracle.DEFAULT_NODE_LIMIT,
-                   help="refusal threshold for exact (default %(default)s)")
     _add_aco_flags(p)
     _add_wca_flags(p)
     p.set_defaults(func=_cmd_solve)
@@ -177,7 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algorithms", default="aco,lic,hd,kconid,wca,greedy",
                    help="comma-separated solver names (default %(default)s)")
     p.add_argument("--k", type=int, default=1, help="hop radius for kconid (default %(default)s)")
-    p.add_argument("--node-limit", type=int, default=oracle.DEFAULT_NODE_LIMIT)
     _add_aco_flags(p)
     _add_wca_flags(p)
     p.set_defaults(func=_cmd_compare)

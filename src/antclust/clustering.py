@@ -8,7 +8,6 @@ range of two or more heads is a gateway, everything else is ordinary.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,12 +84,6 @@ def assign_members(t: Topology, heads) -> Clustering:
     first = t.adjacency_matrix[:, ids].argmax(axis=1).tolist()
     assignment = {v: ids[i] for v, i in enumerate(first) if v not in head_set}
     return Clustering(heads=head_set, assignment=assignment, roles=compute_roles(t, ids), hops=1)
-
-
-def domination_number_lower_bound(t: Topology) -> int:
-    """A valid lower bound on the minimum dominating set size: ceil(n / (1 + max degree))."""
-    max_deg = int(t.degrees.max()) if t.n else 0
-    return math.ceil(t.n / (1 + max_deg))
 
 
 # -- validation against a topology ------------------------------------------

@@ -26,4 +26,4 @@ class ValidityError(AntclustError, ValueError):
 
 
 class NodeLimitError(AntclustError, ValueError):
-    """Refusal: the instance is too large for the exhaustive solver."""
+    """Refusal: optimality not proven within the branch-and-bound node budget."""

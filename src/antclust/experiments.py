@@ -31,9 +31,7 @@ SOLVERS: dict[str, Callable[[Topology, ExperimentSpec], tuple[Clustering, int]]]
     "kconid": lambda t, spec: (baselines.kconid(t, spec.kconid_k), 1),
     "wca": lambda t, spec: (baselines.wca(t, spec.wca), 1),
     "greedy": lambda t, spec: (assign_members(t, oracle.greedy_min_dominating_set(t)), 1),
-    "exact": lambda t, spec: (
-        assign_members(t, oracle.exact_min_dominating_set(t, spec.oracle_node_limit).witness), 1
-    ),
+    "exact": lambda t, spec: (assign_members(t, oracle.exact_min_dominating_set(t).witness), 1),
 }
 ALGORITHMS = tuple(SOLVERS)
 
@@ -55,7 +53,6 @@ class ExperimentSpec:
     aco: aco.AcoParams = field(default_factory=aco.AcoParams)
     wca: baselines.WcaParams = field(default_factory=baselines.WcaParams)
     kconid_k: int = 1
-    oracle_node_limit: int = oracle.DEFAULT_NODE_LIMIT
 
     def __post_init__(self) -> None:
         for name in ("node_counts", "ranges", "seeds", "algorithms"):
@@ -78,8 +75,6 @@ class ExperimentSpec:
                 raise ConfigurationError(f"unknown algorithm {name!r}; known: {', '.join(ALGORITHMS)}")
         if not _is_int(self.kconid_k) or self.kconid_k < 1:
             raise ConfigurationError(f"kconid_k must be an integer >= 1, got {self.kconid_k!r}")
-        if not _is_int(self.oracle_node_limit) or self.oracle_node_limit < 1:
-            raise ConfigurationError(f"oracle_node_limit must be an integer >= 1, got {self.oracle_node_limit!r}")
         if not isinstance(self.aco, aco.AcoParams):
             raise ConfigurationError(f"aco must be an AcoParams, got {self.aco!r}")
         if not isinstance(self.wca, baselines.WcaParams):

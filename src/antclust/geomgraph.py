@@ -23,6 +23,9 @@ import numpy as np
 from .errors import ConfigurationError, NodeNotFoundError, ParseError
 
 
+_BUILD_ROWS = 256
+
+
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
@@ -78,12 +81,18 @@ class Topology:
         self._config = config
         self._positions = tuple(pts)
         x, y = np.array(pts).T
-        d2 = np.subtract.outer(x, x)
-        d2 *= d2
-        dy = np.subtract.outer(y, y)
-        dy *= dy
-        d2 += dy
-        adj = d2 < float(config.range) * float(config.range)
+        r2 = float(config.range) * float(config.range)
+        adj = np.empty((config.n, config.n), dtype=bool)
+        # a block of rows at a time: the float64 temporaries stay at
+        # 2 x _BUILD_ROWS x n values instead of 2 x n x n
+        for lo in range(0, config.n, _BUILD_ROWS):
+            rows = slice(lo, lo + _BUILD_ROWS)
+            d2 = np.subtract.outer(x[rows], x)
+            d2 *= d2
+            dy = np.subtract.outer(y[rows], y)
+            dy *= dy
+            d2 += dy
+            np.less(d2, r2, out=adj[rows])
         np.fill_diagonal(adj, False)
         adj.flags.writeable = False
         self._adj = adj

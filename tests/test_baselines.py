@@ -110,7 +110,7 @@ class TestWcaWeight:
         # two may differ in the last bits of a float64
         for seed in range(12):
             t = random_topology(60, 300, 90, seed=seed)
-            p = WcaParams(mobility={v: 0.5 * v for v in range(0, 60, 4)}, head_tenure={3: 2.0, 70: 1.0})
+            p = WcaParams(mobility={v: 0.5 * v for v in range(0, 60, 4)}, head_tenure={3: 2.0})
             expected = [wca_weight_reference(t, v, p) for v in range(t.n)]
             np.testing.assert_allclose(wca_weights(t, p), expected, rtol=1e-12)
 
@@ -122,10 +122,22 @@ class TestWcaWeight:
         {"w1": True, "w2": 0, "w3": 0, "w4": 0},
         {"ideal_degree": True},
         {"mobility": {0: True}},
+        {"mobility": {"0": 1.0}},
+        {"head_tenure": {True: 1.0}},
+        {"head_tenure": {1.0: 1.0}},
+        {"head_tenure": {-1: 1.0}},
     ])
     def test_rejected_when_built(self, kwargs):
         with pytest.raises(ConfigurationError):
             WcaParams(**kwargs)
+
+    def test_map_keys_outside_the_topology_rejected(self):
+        t = random_topology(60, 300, 90, seed=0)
+        p = WcaParams(head_tenure={3: 2.0, 70: 1.0})
+        with pytest.raises(ConfigurationError, match=r"head_tenure keys \[70\]"):
+            wca_weights(t, p)
+        with pytest.raises(ConfigurationError, match="head_tenure"):
+            wca(t, p)
 
     def test_maps_are_copied(self, path3):
         mobility = {1: 2.0}

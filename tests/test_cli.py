@@ -4,13 +4,13 @@ import sys
 
 import pytest
 
-from antclust import cli as cli_module
+from antclust import cli as cli_module, oracle
 from antclust.aco import AcoParams
 from antclust.clustering import load_clustering
 from antclust.experiments import ALGORITHMS, ExperimentSpec, run
 from antclust.geomgraph import save
 
-from conftest import edgeless_topology, path_topology, star_topology
+from conftest import edgeless_topology, path_topology, random_topology, star_topology
 
 
 def cli(*args, cwd=None):
@@ -73,12 +73,14 @@ class TestSolve:
         assert r.returncode == 0
         assert "heads=2" in r.stdout
 
-    def test_exact_refusal_exit_3(self, tmp_path):
+    def test_exact_refusal_exit_3(self, tmp_path, monkeypatch, capsys):
+        # in-process, so that the patched budget holds
+        monkeypatch.setattr(oracle, "NODE_BUDGET", 0)
         graph = tmp_path / "big.json"
-        save(edgeless_topology(15), graph)
-        r = cli("solve", "--graph", graph, "--algorithm", "exact")
-        assert r.returncode == 3
-        assert "node limit" in r.stderr
+        save(random_topology(100, 1000, 200, seed=0), graph)
+        assert cli_module.main(["solve", "--graph", str(graph), "--algorithm", "exact"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "not proven" in err
 
     def test_lic_on_edgeless(self, tmp_path):
         graph = tmp_path / "e.json"
@@ -95,7 +97,6 @@ class TestSolve:
         args = cli_module.build_parser().parse_args(["solve", "--graph", "g", "--algorithm", "aco"])
         assert cli_module._aco_params(args) == AcoParams()
 
-    @pytest.mark.filterwarnings("ignore:node_limit")
     def test_every_algorithm_matches_its_experiment_row(self, tmp_path):
         # on this graph one colony construction gives 4 heads with the
         # default scoring and 3 with static degree weights, so a CLI that
@@ -104,13 +105,12 @@ class TestSolve:
         assert cli("generate", "--nodes", 20, "--area", 200, "--range", 80, "--seed", 3,
                    "--out", graph).returncode == 0
         result = run(ExperimentSpec(node_counts=(20,), ranges=(80.0,), area_side=200.0, seeds=(3,),
-                                    algorithms=ALGORITHMS, aco=AcoParams(ants=1, iterations=1),
-                                    oracle_node_limit=20))
+                                    algorithms=ALGORITHMS, aco=AcoParams(ants=1, iterations=1)))
         expected = {r.algorithm: r.head_count for r in result.rows if r.ok}
         assert sorted(expected) == sorted(ALGORITHMS)
         for name in ALGORITHMS:
             r = cli("solve", "--graph", graph, "--algorithm", name, "--ants", 1, "--iterations", 1,
-                    "--seed", 3, "--node-limit", 20)
+                    "--seed", 3)
             assert r.returncode == 0, r.stderr
             assert f"heads={expected[name]} " in r.stdout, (name, r.stdout)
 
@@ -223,6 +223,16 @@ class TestExperiment:
         r = cli("experiment", "--spec", spec, "--out", tmp_path / "o")
         assert r.returncode == 2
 
+    def test_every_row_failed_exit_2(self, tmp_path):
+        # node 10 is not in a 6-node topology, so every wca row fails
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"node_counts": [6], "ranges": [60], "area_side": 100, "seeds": [0, 1],
+                                    "algorithms": ["wca"], "wca": {"head_tenure": {"10": 1.0}}}))
+        r = cli("experiment", "--spec", spec, "--out", tmp_path / "o")
+        assert r.returncode == 2
+        assert r.stderr.startswith("error: every run failed, first with ConfigurationError: head_tenure keys [10]")
+        assert "Traceback" not in r.stderr
+
     @pytest.mark.parametrize("doc", [
         {"seeds": ["x"]},
         {"aco": {"alpha": "x"}},
@@ -242,6 +252,7 @@ class TestExperiment:
         {"aco": {"greedy": "no"}},
         {"wca": {"w1": True, "w2": 0, "w3": 0, "w4": 0}},
         {"aco": {"deposit_quantum": 1.0}},
+        {"wca": {"head_tenure": {"-1": 1.0}}},
     ])
     def test_hostile_spec_exit_2_without_traceback(self, tmp_path, doc):
         # a tiny grid underneath, so a spec accepted by mistake fails fast

@@ -8,7 +8,6 @@ from antclust.clustering import (
     ORDINARY,
     Clustering,
     assign_members,
-    domination_number_lower_bound,
     is_dominating,
     load_clustering,
     save_clustering,
@@ -19,8 +18,6 @@ from antclust.errors import NodeNotFoundError, ParseError, ValidityError
 from antclust.oracle import greedy_min_dominating_set
 
 from conftest import (
-    complete_topology,
-    edgeless_topology,
     make_topology,
     path_topology,
     random_topology,
@@ -102,23 +99,6 @@ class TestAssignMembers:
         t = star_topology(5)
         c = assign_members(t, {0})
         assert sum(1 for r in c.roles.values() if r == GATEWAY) == 0
-
-
-class TestLowerBound:
-    def test_complete_graph(self):
-        assert domination_number_lower_bound(complete_topology(10)) == 1
-
-    def test_isolated_nodes(self):
-        assert domination_number_lower_bound(edgeless_topology(10)) == 10
-
-    def test_path4(self, path4):
-        assert domination_number_lower_bound(path4) == 2
-
-    def test_bound_respected_by_valid_head_sets(self):
-        for seed in range(6):
-            t = random_topology(25, 120, 30, seed=seed)
-            heads = greedy_min_dominating_set(t)
-            assert len(heads) >= domination_number_lower_bound(t)
 
 
 class TestKDominating:

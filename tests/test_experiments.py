@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from antclust import aco
+from antclust import aco, oracle
 from antclust.aco import AcoParams, AcoSolution
 from antclust.errors import ConfigurationError
 from antclust.experiments import (
@@ -51,7 +51,7 @@ class TestSpecValidation:
 
     @pytest.mark.parametrize("overrides", [
         {"seeds": (-1,)}, {"seeds": (1.5,)}, {"ranges": (float("inf"),)}, {"area_side": float("nan")},
-        {"kconid_k": True}, {"oracle_node_limit": 0}, {"aco": {"ants": 2}},
+        {"kconid_k": True}, {"kconid_k": 0}, {"aco": {"ants": 2}},
     ])
     def test_rejected_when_built(self, overrides):
         with pytest.raises(ConfigurationError):
@@ -76,16 +76,31 @@ class TestRun:
         # rows come out sorted by (algorithm, n, range, seed)
         assert [r.key for r in result.rows] == sorted(r.key for r in result.rows)
 
-    def test_exact_over_limit_fails_row_but_run_continues(self):
-        result = run(tiny_spec(node_counts=(16,), algorithms=("exact", "greedy"), ranges=(150.0,)))
+    def test_exact_over_limit_fails_row_but_run_continues(self, monkeypatch):
+        monkeypatch.setattr(oracle, "NODE_BUDGET", 0)
+        result = run(tiny_spec(node_counts=(100,), ranges=(200.0,), area_side=1000.0, seeds=(0,),
+                               algorithms=("exact", "greedy")))
         exact_rows = [r for r in result.rows if r.algorithm == "exact"]
         greedy_rows = [r for r in result.rows if r.algorithm == "greedy"]
-        assert all(not r.ok and "node limit" in r.error for r in exact_rows)
+        assert len(exact_rows) == len(greedy_rows) == 1
+        assert all(not r.ok and "not proven" in r.error for r in exact_rows)
         assert all(r.ok for r in greedy_rows)
 
-    def test_error_keeps_the_exception_type(self):
-        result = run(tiny_spec(node_counts=(16,), algorithms=("exact",), ranges=(150.0,)))
-        assert all(r.error.startswith("NodeLimitError: ") for r in result.rows)
+    def test_error_keeps_the_exception_type(self, monkeypatch):
+        monkeypatch.setattr(oracle, "NODE_BUDGET", 0)
+        result = run(tiny_spec(node_counts=(100,), ranges=(200.0,), area_side=1000.0, seeds=(0,),
+                               algorithms=("exact",)))
+        assert result.rows and all(r.error.startswith("NodeLimitError: ") for r in result.rows)
+
+    def test_exact_bounds_the_colony_at_sweep_scale(self):
+        result = run(ExperimentSpec(node_counts=(60, 120), ranges=(200.0,), seeds=(0, 1),
+                                    algorithms=("aco", "exact"), aco=AcoParams(iterations=5)))
+        assert len(result.rows) == 2 * 2 * 2
+        assert all(r.ok for r in result.rows), [r.error for r in result.rows if not r.ok]
+        heads = {(r.algorithm, r.n, r.range, r.seed): r.head_count for r in result.rows}
+        for (algorithm, n, rng, seed), optimum in heads.items():
+            if algorithm == "exact":
+                assert heads[("aco", n, rng, seed)] >= optimum
 
     def test_iterations_used_counts_the_iterations_that_ran(self, monkeypatch):
         def stopped_early(t, params=None):

@@ -178,6 +178,14 @@ class TestAdjacencyProperties:
                 expected = u != v and math.dist(t.positions[u], t.positions[v]) < rr
                 assert bool(t.adjacency_matrix[u, v]) == expected
 
+    def test_matches_bruteforce_distances_across_row_blocks(self):
+        # the build computes 256 rows at a time: 600 nodes make three
+        # blocks, the last one partial
+        t = random_topology(600, 1000, 90, seed=5)
+        pos = t.positions
+        expected = [[u != v and math.dist(pos[u], pos[v]) < 90 for v in range(t.n)] for u in range(t.n)]
+        assert np.array_equal(t.adjacency_matrix, np.array(expected))
+
     def test_symmetric_irreflexive(self):
         t = random_topology(80, 300, 60, seed=11)
         m = t.adjacency_matrix

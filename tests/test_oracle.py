@@ -1,13 +1,15 @@
-import itertools
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from antclust.aco import AcoParams, solve
 from antclust.baselines import highest_degree, lowest_id, wca
-from antclust.clustering import domination_number_lower_bound, is_dominating
+from antclust import oracle
+from antclust.clustering import is_dominating
 from antclust.errors import NodeLimitError
-from antclust.oracle import exact_min_dominating_set, greedy_min_dominating_set
+from antclust.oracle import OracleResult, exact_min_dominating_set, greedy_min_dominating_set
 
 from conftest import (
     brute_min_dominating_size,
@@ -33,16 +35,37 @@ class TestExact:
     def test_isolated(self):
         assert exact_min_dominating_set(edgeless_topology(6)).optimum_size == 6
 
-    def test_refuses_above_limit(self):
-        t = edgeless_topology(15)
-        with pytest.raises(NodeLimitError, match="14"):
-            exact_min_dominating_set(t)
+    def test_refuses_above_limit(self, monkeypatch):
+        # no branch-and-bound node at all: not even the root is solved
+        monkeypatch.setattr(oracle, "NODE_BUDGET", 0)
+        with pytest.raises(NodeLimitError, match="not proven within 0 branch-and-bound nodes"):
+            exact_min_dominating_set(random_topology(100, 1000, 200, seed=0))
 
-    def test_limit_override_warns(self):
-        t = edgeless_topology(15)
-        with pytest.warns(UserWarning, match="exponentially"):
-            r = exact_min_dominating_set(t, node_limit=15)
-        assert r.optimum_size == 15
+    def test_solved_with_a_gap_left_is_refused(self, monkeypatch):
+        # HiGHS reports status 0 once the relative gap is small; the witness
+        # counts only when the dual bound rounds up to its size
+        import scipy.optimize
+
+        solve = scipy.optimize.milp
+
+        def gap_left(gap):
+            def milp(*args, **kwargs):
+                res = solve(*args, **kwargs)
+                res.mip_dual_bound = res.fun - gap
+                return res
+            return milp
+
+        monkeypatch.setattr(scipy.optimize, "milp", gap_left(0.5))
+        assert exact_min_dominating_set(path_topology(4)).optimum_size == 2
+        monkeypatch.setattr(scipy.optimize, "milp", gap_left(1.0))
+        with pytest.raises(NodeLimitError, match="not proven"):
+            exact_min_dominating_set(path_topology(4))
+
+    def test_same_instance_same_result(self):
+        t = random_topology(100, 1000, 200, seed=0)
+        first = exact_min_dominating_set(t)
+        assert isinstance(first, OracleResult)
+        assert exact_min_dominating_set(t) == first
 
     def test_matches_independent_bruteforce(self):
         rng = np.random.default_rng(55)
@@ -53,20 +76,25 @@ class TestExact:
             assert r.optimum_size == brute_min_dominating_size(t)
             assert is_dominating(t, r.witness)
             assert len(r.witness) == r.optimum_size
-            assert r.optimum_size >= domination_number_lower_bound(t)
 
-    def test_witness_lexicographically_smallest(self):
+    def test_witness_is_a_minimum_dominating_set(self):
+        # any optimum will do: the solver's witness need not be the first in
+        # lexicographic order
         rng = np.random.default_rng(13)
         for _ in range(10):
             n = int(rng.integers(4, 9))
             t = random_topology(n, 100, float(rng.uniform(25, 70)), seed=int(rng.integers(1 << 16)))
-            r = exact_min_dominating_set(t)
-            expected = next(
-                frozenset(s)
-                for s in itertools.combinations(range(n), r.optimum_size)
-                if is_dominating(t, set(s))
-            )
-            assert r.witness == expected
+            witness = exact_min_dominating_set(t).witness
+            assert is_dominating(t, witness)
+            assert len(witness) == brute_min_dominating_size(t)
+
+
+class TestImport:
+    def test_import_loads_no_scipy(self):
+        # scipy costs about 0.6 s to import; only the exact solver may load it
+        code = "import sys, antclust, antclust.cli; assert 'scipy' not in sys.modules, 'scipy imported'"
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr
 
 
 class TestGreedy:
