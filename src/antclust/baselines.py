@@ -127,7 +127,7 @@ def kconid(t: Topology, k: int = 1) -> Clustering:
     For k=1 the connectivity equals the node degree, so the head set matches
     highest_degree exactly.
     """
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+    if not _is_int(k) or k < 1:
         raise ConfigurationError(f"k must be an integer >= 1, got {k!r}")
     reach = t.reach(k)
     return _elect(t, _ranked(-reach.sum(axis=1)), reach, hops=k)

@@ -56,8 +56,9 @@ def _wca_params(args: argparse.Namespace) -> baselines.WcaParams:
     return baselines.WcaParams(w1=args.w1, w2=args.w2, w3=args.w3, w4=args.w4, ideal_degree=args.ideal_degree)
 
 
-def _spec(args: argparse.Namespace) -> experiments.ExperimentSpec:
-    return experiments.ExperimentSpec(aco=_aco_params(args), wca=_wca_params(args), kconid_k=args.k)
+def _spec(args: argparse.Namespace, algorithms: list[str]) -> experiments.ExperimentSpec:
+    return experiments.ExperimentSpec(algorithms=algorithms, aco=_aco_params(args), wca=_wca_params(args),
+                                      kconid_k=args.k)
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -72,7 +73,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _cmd_solve(args: argparse.Namespace) -> int:
     t = geomgraph.load(args.graph)
     t0 = time.perf_counter()
-    solution, _ = experiments.elect(t, args.algorithm, _spec(args))
+    solution, _ = experiments.elect(t, args.algorithm, _spec(args, [args.algorithm]))
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
     print(f"algorithm={args.algorithm} heads={solution.head_count} wall_time_ms={elapsed_ms:.3f}")
     if args.out:
@@ -96,13 +97,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     t = geomgraph.load(args.graph)
-    names = [s.strip() for s in args.algorithms.split(",") if s.strip()]
-    for name in names:
-        if name not in ALGORITHM_CHOICES:
-            raise AntclustError(f"unknown algorithm {name!r}; known: {', '.join(ALGORITHM_CHOICES)}")
-    spec = _spec(args)
+    spec = _spec(args, [s.strip() for s in args.algorithms.split(",") if s.strip()])
     print(f"{'algorithm':<10} {'heads':>6} {'wall_ms':>10}")
-    for name in names:
+    for name in spec.algorithms:
         t0 = time.perf_counter()
         solution, _ = experiments.elect(t, name, spec)
         elapsed_ms = (time.perf_counter() - t0) * 1000.0
@@ -146,7 +143,9 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="antclust",
-                                     description="Cluster-head election toolkit for ad hoc network topologies.")
+                                     description="Cluster-head election toolkit for ad hoc network topologies.",
+                                     epilog="exit codes: 0 success, 1 verification failure, "
+                                            "2 usage/input error, 3 capability refusal")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="generate a random topology and write it as JSON")

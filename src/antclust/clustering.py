@@ -7,13 +7,12 @@ range of two or more heads is a gateway, everything else is ordinary.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import NodeNotFoundError, ParseError, ValidityError
-from .geomgraph import Topology
+from .geomgraph import Topology, _is_int, _read_json_object, _write_json
 
 HEAD = "head"
 GATEWAY = "gateway"
@@ -143,32 +142,28 @@ def clustering_to_dict(c: Clustering) -> dict:
 
 
 def save_clustering(c: Clustering, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(clustering_to_dict(c), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(clustering_to_dict(c), path)
 
 
 def load_clustering(path) -> Clustering:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError(f"{path}: top-level value must be an object")
+    """Read a clustering written by save_clustering(). Node ids must be JSON
+    integers: a float, a string or a bool is a ParseError, not an id."""
+    doc = _read_json_object(path)
     heads = doc.get("heads")
-    if not isinstance(heads, list) or not all(isinstance(h, int) for h in heads):
+    if not isinstance(heads, list) or not all(_is_int(h) for h in heads):
         raise ParseError(f"{path}: 'heads' must be a list of integers")
     assignment_raw = doc.get("assignment", {})
     roles_raw = doc.get("roles", {})
     if not isinstance(assignment_raw, dict) or not isinstance(roles_raw, dict):
         raise ParseError(f"{path}: 'assignment' and 'roles' must be objects")
+    if not all(_is_int(h) for h in assignment_raw.values()):
+        raise ParseError(f"{path}: 'assignment' values must be integers (head ids)")
     hops = doc.get("hops", 1)
-    if not isinstance(hops, int) or isinstance(hops, bool) or hops < 1:
+    if not _is_int(hops) or hops < 1:
         raise ParseError(f"{path}: 'hops' must be an integer >= 1")
     try:
-        assignment = {int(m): int(h) for m, h in assignment_raw.items()}
+        assignment = {int(m): h for m, h in assignment_raw.items()}
         roles = {int(v): str(r) for v, r in roles_raw.items()}
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ParseError(f"{path}: malformed assignment/roles keys: {exc}") from exc
     return Clustering(heads=frozenset(heads), assignment=assignment, roles=roles, hops=hops)

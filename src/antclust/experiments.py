@@ -3,7 +3,6 @@ validate and collect head counts, aggregate, and export CSV/JSON."""
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -12,8 +11,8 @@ from typing import Callable
 
 from . import aco, baselines, oracle
 from .clustering import Clustering, assign_members, is_dominating
-from .errors import ConfigurationError, ParseError, ValidityError
-from .geomgraph import Topology, TopologyConfig, _is_int, _is_number, generate
+from .errors import ConfigurationError, ValidityError
+from .geomgraph import Topology, TopologyConfig, _is_int, _is_number, _read_json_object, _write_json, generate
 
 
 def _aco(t: Topology, spec: ExperimentSpec) -> tuple[Clustering, int]:
@@ -182,50 +181,33 @@ ROW_COLUMNS = ("algorithm", "n", "range", "seed", "head_count", "wall_time_ms")
 AGG_COLUMNS = ("algorithm", "n", "range", "mean", "min", "max")
 
 
-def export_rows_csv(result: ExperimentResult, path) -> None:
-    """Per-run CSV; failed rows are omitted (they live in the JSON export)."""
-    rows = sorted(result.ok_rows(), key=lambda r: r.key)
-    if not rows:
+def _write_csv(path, columns, lines: list[str]) -> None:
+    if not lines:
         raise ValueError("nothing to export: no successful rows")
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(ROW_COLUMNS) + "\n")
-        for r in rows:
-            fh.write(f"{r.algorithm},{r.n},{r.range:g},{r.seed},{r.head_count},{r.wall_time_ms:.3f}\n")
+        fh.write(",".join(columns) + "\n")
+        fh.writelines(line + "\n" for line in lines)
+
+
+def export_rows_csv(result: ExperimentResult, path) -> None:
+    """Per-run CSV; failed rows are omitted (they live in the JSON export)."""
+    _write_csv(path, ROW_COLUMNS, [
+        f"{r.algorithm},{r.n},{r.range:g},{r.seed},{r.head_count},{r.wall_time_ms:.3f}"
+        for r in sorted(result.ok_rows(), key=lambda r: r.key)
+    ])
 
 
 def export_aggregates_csv(result: ExperimentResult, path) -> None:
-    aggs = result.aggregates()
-    if not aggs:
-        raise ValueError("nothing to export: no successful rows")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(AGG_COLUMNS) + "\n")
-        for a in aggs:
-            fh.write(f"{a.algorithm},{a.n},{a.range:g},{a.mean!r},{a.min},{a.max}\n")
+    _write_csv(path, AGG_COLUMNS, [
+        f"{a.algorithm},{a.n},{a.range:g},{a.mean!r},{a.min},{a.max}" for a in result.aggregates()
+    ])
 
 
 def export_json(result: ExperimentResult, path) -> None:
-    doc = {
+    _write_json({
         "rows": [asdict(r) for r in sorted(result.rows, key=lambda r: r.key)],
         "aggregates": [asdict(a) for a in result.aggregates()],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_result_json(path) -> ExperimentResult:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or not isinstance(doc.get("rows"), list):
-        raise ParseError(f"{path}: expected an object with a 'rows' list")
-    try:
-        rows = [RunRow(**row) for row in doc["rows"]]
-    except TypeError as exc:
-        raise ParseError(f"{path}: malformed row: {exc}") from exc
-    return ExperimentResult(rows=rows)
+    }, path)
 
 
 # -- spec files ----------------------------------------------------------------
@@ -234,13 +216,7 @@ def load_spec(path) -> ExperimentSpec:
     """Read an ExperimentSpec from JSON; keys are the dataclass field names.
     Values pass through to the constructors, which check them, except the
     WCA map keys: JSON writes them as strings, so they are read as ids."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError(f"{path}: top-level value must be an object")
+    doc = _read_json_object(path)
     unknown = set(doc) - {f.name for f in fields(ExperimentSpec)}
     if unknown:
         raise ConfigurationError(f"{path}: unknown spec fields: {sorted(unknown)}")

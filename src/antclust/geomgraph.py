@@ -35,6 +35,34 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
+def _read_json_object(path) -> dict:
+    """Read a UTF-8 JSON file whose top-level value is an object.
+
+    The package's four JSON documents are the graph (``save``/``load``), the
+    clustering (``save_clustering``/``load_clustering``), the experiment spec
+    (``load_spec``) and the sweep results (``export_json``); every one that
+    is read comes through here. Bad UTF-8, bad JSON, nesting too deep to
+    parse and a non-object top level all raise ParseError.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise ParseError(f"{path}: not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{path}: not valid JSON: nested too deeply") from exc
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: top-level value must be an object")
+    return doc
+
+
+def _write_json(doc, path) -> None:
+    """Write ``doc`` as sorted-key JSON indented by 2, with a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 @dataclass(frozen=True)
 class TopologyConfig:
     """Generation parameters: node count, square side, radio range, RNG seed.
@@ -222,9 +250,7 @@ def save(t: Topology, path) -> None:
             {"id": i, "x": x, "y": y} for i, (x, y) in enumerate(t.positions)
         ],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(doc, path)
 
 
 def load(path) -> Topology:
@@ -233,13 +259,7 @@ def load(path) -> Topology:
     Positions outside [0, area_side]^2 are accepted with a warning. Node ids
     must be exactly 0..n-1.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError(f"{path}: top-level value must be an object")
+    doc = _read_json_object(path)
     for field in ("area_side", "range"):
         if field not in doc:
             raise ConfigurationError(f"{path}: missing required field {field!r}")

@@ -40,12 +40,12 @@ def exact_min_dominating_set(t: Topology) -> OracleResult:
     cover = LinearConstraint(sparse.csr_array(t.closed_neighborhood_matrix.astype(np.float64)), lb=1)
     res = milp(np.ones(t.n), constraints=cover, integrality=np.ones(t.n), bounds=(0, 1),
                options={"node_limit": NODE_BUDGET})
+    found = None if res.x is None else int(np.count_nonzero(res.x > 0.5))
+    lower = None if found is None else math.ceil(res.mip_dual_bound - 1e-6)
     # status 0 alone is not a proof: HiGHS also stops at a relative gap of 1e-4
-    proven = res.status == 0 and math.ceil(res.mip_dual_bound - 1e-6) >= np.count_nonzero(res.x > 0.5)
-    if not proven:
-        raise NodeLimitError(
-            f"optimality not proven within {NODE_BUDGET} branch-and-bound nodes ({res.message})"
-        )
+    if res.status != 0 or lower < found:
+        best = "no head set found" if found is None else f"best set found: {found} heads, lower bound {lower}"
+        raise NodeLimitError(f"optimality not proven within {NODE_BUDGET} branch-and-bound nodes ({best})")
     witness = frozenset(np.flatnonzero(res.x > 0.5).tolist())
     return OracleResult(optimum_size=len(witness), witness=witness)
 

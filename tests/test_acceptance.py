@@ -224,7 +224,7 @@ def _strip_timing_rows(path):
 
 
 def _strip_timing_json(path):
-    doc = json.loads(open(path).read())
+    doc = json.loads(path.read_text())
     for row in doc["rows"]:
         row.pop("wall_time_ms", None)
     return doc

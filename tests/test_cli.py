@@ -193,6 +193,11 @@ class TestCompare:
         r = cli("compare", "--graph", star_file, "--algorithms", "aco,nope")
         assert r.returncode == 2
 
+    def test_no_algorithm_exit_2(self, star_file):
+        r = cli("compare", "--graph", star_file, "--algorithms", ",")
+        assert r.returncode == 2
+        assert "error: algorithms must be non-empty" in r.stderr
+
 
 class TestExperiment:
     def test_small_sweep_writes_artifacts(self, tmp_path):
@@ -266,3 +271,31 @@ class TestExperiment:
 
     def test_no_subcommand_usage_error(self):
         assert cli().returncode == 2
+
+
+def test_help_lists_the_exit_codes():
+    assert "exit codes: 0 success, 1 verification failure" in cli_module.build_parser().format_help()
+
+
+HOSTILE_FILES = {
+    "not-utf8": b'{"nodes": [], "note": "\xff\xfe"}',
+    "deeply-nested": b"[" * 100000,
+    "top-level-array": b"[1, 2, 3]",
+    "truncated": b'{"nodes": [{"id": 0, "x": 1.0,',
+}
+
+
+@pytest.mark.parametrize("kind", sorted(HOSTILE_FILES))
+@pytest.mark.parametrize("command", ["solve", "verify", "experiment"])
+def test_hostile_file_exit_2_without_traceback(tmp_path, path4_file, command, kind):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(HOSTILE_FILES[kind])
+    args = {
+        "solve": ["solve", "--graph", bad, "--algorithm", "hd"],
+        "verify": ["verify", "--graph", path4_file, "--clustering", bad],
+        "experiment": ["experiment", "--spec", bad, "--out", tmp_path / "o"],
+    }[command]
+    r = cli(*args)
+    assert r.returncode == 2
+    assert r.stderr.startswith("error:")
+    assert "Traceback" not in r.stderr

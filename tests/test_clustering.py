@@ -129,6 +129,20 @@ class TestJsonAndValidate:
         with pytest.raises(ParseError, match="hops"):
             load_clustering(p)
 
+    @pytest.mark.parametrize("doc", [
+        {"heads": [0], "assignment": {"1": 0.9, "2": 0, "3": 0}},
+        {"heads": [0], "assignment": {"1": "0", "2": 0, "3": 0}},
+        {"heads": [0], "assignment": {"1": True, "2": 0, "3": 0}},
+        {"heads": [True], "assignment": {"0": 1, "2": 1, "3": 1}},
+    ])
+    def test_node_ids_not_coerced(self, tmp_path, doc):
+        # 0.9, "0" and true would otherwise read as the node ids 0, 0 and 1
+        roles = {str(v): ORDINARY for v in range(4)}
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({**doc, "roles": roles, "hops": 1}))
+        with pytest.raises(ParseError, match="integers"):
+            load_clustering(p)
+
     def test_validate_flags_uncovered(self, path4):
         c = Clustering(heads=frozenset({1}), assignment={0: 1, 2: 1},
                        roles={0: ORDINARY, 1: HEAD, 2: ORDINARY, 3: ORDINARY})

@@ -1,9 +1,12 @@
+import hashlib
 import json
 
 import pytest
 
 from antclust import aco, oracle
 from antclust.aco import AcoParams, AcoSolution
+from antclust.baselines import kconid
+from antclust.clustering import save_clustering
 from antclust.errors import ConfigurationError
 from antclust.experiments import (
     Aggregate,
@@ -13,10 +16,10 @@ from antclust.experiments import (
     export_aggregates_csv,
     export_json,
     export_rows_csv,
-    load_result_json,
     load_spec,
     run,
 )
+from antclust.geomgraph import TopologyConfig, generate, save
 
 
 def tiny_spec(**overrides):
@@ -156,9 +159,9 @@ class TestExport:
         result = run(tiny_spec(algorithms=("hd", "greedy")))
         p = tmp_path / "res.json"
         export_json(result, p)
-        back = load_result_json(p)
-        assert back.aggregates() == result.aggregates()
-        assert back.rows == result.rows
+        doc = json.loads(p.read_text())
+        assert [RunRow(**r) for r in doc["rows"]] == result.rows
+        assert [Aggregate(**a) for a in doc["aggregates"]] == result.aggregates()
 
     def test_unwritable_path(self, tmp_path):
         result = ExperimentResult([RunRow("hd", 10, 50.0, 0, 3, 1, 2.5)])
@@ -168,6 +171,32 @@ class TestExport:
     def test_empty_result_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             export_rows_csv(ExperimentResult([]), tmp_path / "rows.csv")
+
+
+# sha256 of the files each JSON writer makes from one fixed input (wall
+# times set by hand), recorded before the writers shared one JSON dump
+WRITTEN_SHA256 = {
+    "save": "1c0f54f397b0d7220019653a8de8e31a741f682cab5fd6111be985be0532d178",
+    "save_clustering": "3703be5c0d1227093c2fb150217bf2451c8e7e4ef9b227c5f9e73fcad6e79e26",
+    "export_json": "c09de47431eacd637f62a6aae68f6e0698e2a18504ea093c6952aab8e373b43e",
+}
+
+
+@pytest.mark.parametrize("writer", sorted(WRITTEN_SHA256))
+def test_written_bytes_unchanged(tmp_path, writer):
+    t = generate(TopologyConfig(n=30, area_side=300.0, range=90.0, seed=5))
+    result = ExperimentResult([
+        RunRow("hd", 30, 90.0, 1, 8, 1, 2.5),
+        RunRow("hd", 30, 90.0, 0, 7, 1, 1.25),
+        RunRow("exact", 30, 90.0, 0, 0, 0, 3.0, ok=False, error="NodeLimitError: not proven"),
+    ])
+    p = tmp_path / "out.json"
+    {
+        "save": lambda: save(t, p),
+        "save_clustering": lambda: save_clustering(kconid(t, 2), p),
+        "export_json": lambda: export_json(result, p),
+    }[writer]()
+    assert hashlib.sha256(p.read_bytes()).hexdigest() == WRITTEN_SHA256[writer]
 
 
 class TestSpecFile:
