@@ -16,13 +16,13 @@ rate. The smallest head set seen anywhere is returned.
 
 from __future__ import annotations
 
-import math
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .geomgraph import Topology, _is_int, _is_number
+from .geomgraph import Topology, _is_finite, _is_int
 
 
 @dataclass(frozen=True)
@@ -30,18 +30,15 @@ class AcoParams:
     """Tunables for the ant-colony solver.
 
     alpha scales the coverage gain, beta scales the pheromone
-    concentration. ``greedy`` switches the per-step choice from
-    roulette-wheel sampling to a deterministic argmax (ties to the lowest
-    id); it runs one construction per iteration, since all ants would
-    coincide. ``iterations`` defaults to the node count when None. Valid
-    by construction: ``validate`` runs when it is built.
+    concentration; every ant picks each next head by roulette-wheel
+    sampling over those scores. ``iterations`` defaults to the node count
+    when None. Valid by construction: ``validate`` runs when it is built.
     """
 
     alpha: float = 9.0
     beta: float = 1.0
     ants: int = 20
     evaporation_rate: float = 0.1
-    greedy: bool = False
     iterations: int | None = None
     seed: int = 0
 
@@ -51,7 +48,7 @@ class AcoParams:
     def validate(self) -> None:
         for name in ("alpha", "beta", "evaporation_rate"):
             value = getattr(self, name)
-            if not (_is_number(value) and math.isfinite(value)):
+            if not _is_finite(value):
                 raise ConfigurationError(f"{name} must be a finite number, got {value!r}")
         if self.alpha < 0 or self.beta < 0:
             raise ConfigurationError(f"alpha and beta must be >= 0, got alpha={self.alpha}, beta={self.beta}")
@@ -61,8 +58,6 @@ class AcoParams:
             raise ConfigurationError(f"ants must be an integer >= 1, got {self.ants!r}")
         if not 0 <= self.evaporation_rate < 1:
             raise ConfigurationError(f"evaporation_rate must be in [0, 1), got {self.evaporation_rate!r}")
-        if not isinstance(self.greedy, bool):
-            raise ConfigurationError(f"greedy must be true or false, got {self.greedy!r}")
         if self.iterations is not None and (not _is_int(self.iterations) or self.iterations < 1):
             raise ConfigurationError(f"iterations must be None or an integer >= 1, got {self.iterations!r}")
         if not _is_int(self.seed) or self.seed < 0:
@@ -165,18 +160,15 @@ def construct_solution(t: Topology, ph: np.ndarray, params: AcoParams, start, rn
     heads = [start]
     add_head(start)
     while not covered.all():
-        cand = np.flatnonzero(gains > 0)  # ascending ids: argmax ties go to the lowest id
+        cand = np.flatnonzero(gains > 0)
         scores = _scores(params, gains, ph_scores, cand)
-        if params.greedy:
-            pick = int(cand[int(np.argmax(scores))])
+        total = float(scores.sum())
+        if total <= 0:
+            pick = int(cand[rng.integers(len(cand))])  # all scores zero: fall back to uniform
         else:
-            total = float(scores.sum())
-            if total <= 0:
-                pick = int(cand[rng.integers(len(cand))])  # all scores zero: fall back to uniform
-            else:
-                r = rng.random() * total
-                pos = int(np.searchsorted(np.cumsum(scores), r, side="right"))
-                pick = int(cand[min(pos, len(cand) - 1)])
+            r = rng.random() * total
+            pos = int(np.searchsorted(np.cumsum(scores), r, side="right"))
+            pick = int(cand[min(pos, len(cand) - 1)])
         heads.append(pick)
         add_head(pick)
 
@@ -202,24 +194,22 @@ def improve_two_for_one(t: Topology, heads) -> set[int]:
     depends on nothing but the input.
     """
     closed = t.closed_neighborhood_matrix
-    closed_f = closed.astype(np.float32)
     hs = sorted({t._check_id(v) for v in heads})
     while len(hs) >= 2:
         rows = closed[hs].astype(np.int64)
         cover_count = rows.sum(axis=0)
-        first, second = np.triu_indices(len(hs), k=1)
-        # lost[p, w]: w loses its last cover if pair p is removed
-        lost = rows[first] + rows[second] == cover_count
-        need = lost.sum(axis=1)
-        hits = lost.astype(np.float32) @ closed_f.T
-        fits = hits == need[:, None]
-        pairs = np.flatnonzero(fits.any(axis=1))
-        if pairs.size == 0:
+        for i, j in itertools.combinations(range(len(hs)), 2):
+            # lost[w]: w loses its last cover if heads i and j go;
+            # fits[v]: v covers every such w
+            lost = rows[i] + rows[j] == cover_count
+            fits = closed[lost].all(axis=0)
+            if fits.any():
+                break
+        else:
             break
-        p = int(pairs[0])
-        keep = [h for i, h in enumerate(hs) if i != first[p] and i != second[p]]
-        if need[p]:
-            keep.append(int(np.argmax(fits[p])))
+        keep = [h for k, h in enumerate(hs) if k != i and k != j]
+        if lost.any():
+            keep.append(int(np.argmax(fits)))
         hs = sorted(set(keep))
     return set(hs)
 
@@ -242,9 +232,6 @@ def solve(t: Topology, params: AcoParams | None = None) -> AcoSolution:
     """
     params = params if params is not None else AcoParams()
     iterations = params.iterations if params.iterations is not None else t.n
-    # greedy constructions ignore the RNG, so every ant of an iteration
-    # would coincide; one construction is enough
-    ants = 1 if params.greedy else params.ants
 
     ph = np.zeros(t.n)
     best: set[int] | None = None
@@ -253,7 +240,7 @@ def solve(t: Topology, params: AcoParams | None = None) -> AcoSolution:
     for iteration in range(iterations):
         start = iteration % t.n
         iteration_best: set[int] | None = None
-        for ant in range(ants):
+        for ant in range(params.ants):
             heads = construct_solution(t, ph, params, start, _ant_rng(params.seed, iteration, ant))
             if iteration_best is None or len(heads) < len(iteration_best):
                 iteration_best = heads

@@ -10,7 +10,6 @@ whose heads are non-adjacent within k hops).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping
@@ -19,7 +18,7 @@ import numpy as np
 
 from .clustering import Clustering, compute_roles
 from .errors import ConfigurationError
-from .geomgraph import Topology, _is_int, _is_number
+from .geomgraph import Topology, _is_finite, _is_int
 
 
 @dataclass(frozen=True)
@@ -51,13 +50,13 @@ class WcaParams:
     def validate(self) -> None:
         for name in ("w1", "w2", "w3", "w4", "ideal_degree"):
             value = getattr(self, name)
-            if not (_is_number(value) and math.isfinite(value)):
+            if not _is_finite(value):
                 raise ConfigurationError(f"{name} must be a finite number, got {value!r}")
         for name in ("mobility", "head_tenure"):
             for v, x in (getattr(self, name) or {}).items():
                 if not (_is_int(v) and v >= 0):
                     raise ConfigurationError(f"{name} keys must be node ids (integers >= 0), got {v!r}")
-                if not (_is_number(x) and math.isfinite(x)):
+                if not _is_finite(x):
                     raise ConfigurationError(f"{name}[{v!r}] must be a finite number, got {x!r}")
         for name in ("w1", "w2", "w3", "w4"):
             if getattr(self, name) < 0:

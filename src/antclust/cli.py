@@ -31,7 +31,6 @@ def _add_aco_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ants", type=int, default=d.ants, help="constructions per iteration (default %(default)s)")
     p.add_argument("--evaporation-rate", type=float, default=d.evaporation_rate,
                    help="pheromone decay per iteration, in [0,1) (default %(default)s)")
-    p.add_argument("--greedy", action="store_true", help="pick the argmax instead of roulette sampling")
     p.add_argument("--iterations", type=int, default=d.iterations,
                    help="iteration count (default: the node count)")
     p.add_argument("--seed", type=int, default=d.seed, help="solver RNG seed (default %(default)s)")

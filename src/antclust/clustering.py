@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NodeNotFoundError, ParseError, ValidityError
-from .geomgraph import Topology, _is_int, _read_json_object, _write_json
+from .geomgraph import Topology, _id_key, _is_int, _read_json_object, _write_json
 
 HEAD = "head"
 GATEWAY = "gateway"
@@ -147,7 +147,8 @@ def save_clustering(c: Clustering, path) -> None:
 
 def load_clustering(path) -> Clustering:
     """Read a clustering written by save_clustering(). Node ids must be JSON
-    integers: a float, a string or a bool is a ParseError, not an id."""
+    integers: a float, a string or a bool is a ParseError, not an id; the
+    ``assignment`` and ``roles`` keys must spell them as ``str`` does."""
     doc = _read_json_object(path)
     heads = doc.get("heads")
     if not isinstance(heads, list) or not all(_is_int(h) for h in heads):
@@ -162,8 +163,8 @@ def load_clustering(path) -> Clustering:
     if not _is_int(hops) or hops < 1:
         raise ParseError(f"{path}: 'hops' must be an integer >= 1")
     try:
-        assignment = {int(m): h for m, h in assignment_raw.items()}
-        roles = {int(v): str(r) for v, r in roles_raw.items()}
+        assignment = {_id_key(m): h for m, h in assignment_raw.items()}
+        roles = {_id_key(v): str(r) for v, r in roles_raw.items()}
     except ValueError as exc:
         raise ParseError(f"{path}: malformed assignment/roles keys: {exc}") from exc
     return Clustering(heads=frozenset(heads), assignment=assignment, roles=roles, hops=hops)

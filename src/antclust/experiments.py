@@ -3,7 +3,6 @@ validate and collect head counts, aggregate, and export CSV/JSON."""
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from statistics import fmean
@@ -12,7 +11,7 @@ from typing import Callable
 from . import aco, baselines, oracle
 from .clustering import Clustering, assign_members, is_dominating
 from .errors import ConfigurationError, ValidityError
-from .geomgraph import Topology, TopologyConfig, _is_int, _is_number, _read_json_object, _write_json, generate
+from .geomgraph import Topology, TopologyConfig, _id_key, _is_finite, _is_int, _read_json_object, _write_json, generate
 
 
 def _aco(t: Topology, spec: ExperimentSpec) -> tuple[Clustering, int]:
@@ -61,9 +60,9 @@ class ExperimentSpec:
     def validate(self) -> None:
         if not self.node_counts or any(not _is_int(n) or n < 1 for n in self.node_counts):
             raise ConfigurationError(f"node_counts must be a non-empty list of integers >= 1, got {self.node_counts!r}")
-        if not self.ranges or any(not (_is_number(r) and math.isfinite(r) and r > 0) for r in self.ranges):
+        if not self.ranges or any(not (_is_finite(r) and r > 0) for r in self.ranges):
             raise ConfigurationError(f"ranges must be a non-empty list of finite positive numbers, got {self.ranges!r}")
-        if not (_is_number(self.area_side) and math.isfinite(self.area_side) and self.area_side > 0):
+        if not (_is_finite(self.area_side) and self.area_side > 0):
             raise ConfigurationError(f"area_side must be a finite positive number, got {self.area_side!r}")
         if not self.seeds or any(not _is_int(s) or s < 0 for s in self.seeds):
             raise ConfigurationError(f"seeds must be a non-empty list of integers >= 0, got {self.seeds!r}")
@@ -227,7 +226,7 @@ def load_spec(path) -> ExperimentSpec:
             wca_kwargs = dict(doc["wca"])
             for mapping_key in ("mobility", "head_tenure"):
                 if wca_kwargs.get(mapping_key) is not None:
-                    wca_kwargs[mapping_key] = {int(k): v for k, v in wca_kwargs[mapping_key].items()}
+                    wca_kwargs[mapping_key] = {_id_key(k): v for k, v in wca_kwargs[mapping_key].items()}
             doc["wca"] = baselines.WcaParams(**wca_kwargs)
         return ExperimentSpec(**doc)
     except (TypeError, ValueError, AttributeError) as exc:

@@ -30,9 +30,21 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _is_number(x) -> bool:
-    """int or float, but not bool (True would otherwise read as 1)."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+def _is_finite(x) -> bool:
+    """An int or float that converts to a finite float; not a bool (True would read as 1)."""
+    try:
+        return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
+def _id_key(s: str) -> int:
+    """A node id from a JSON object key spelled as ``str`` spells it: "7",
+    not " 7", "+7" or "0_7"; ValueError otherwise."""
+    v = int(s)
+    if str(v) != s:
+        raise ValueError(f"node id key {s!r} is not a plain integer")
+    return v
 
 
 def _read_json_object(path) -> dict:
@@ -83,9 +95,9 @@ class TopologyConfig:
     def validate(self) -> None:
         if not _is_int(self.n) or self.n < 1:
             raise ConfigurationError(f"n must be an integer >= 1, got {self.n!r}")
-        if not (_is_number(self.area_side) and math.isfinite(self.area_side) and self.area_side > 0):
+        if not (_is_finite(self.area_side) and self.area_side > 0):
             raise ConfigurationError(f"area_side must be a finite positive number, got {self.area_side!r}")
-        if not (_is_number(self.range) and math.isfinite(self.range) and self.range > 0):
+        if not (_is_finite(self.range) and self.range > 0):
             raise ConfigurationError(f"range must be a finite positive number, got {self.range!r}")
         if self.seed is not None and (not _is_int(self.seed) or self.seed < 0):
             raise ConfigurationError(f"seed must be a non-negative integer or None, got {self.seed!r}")
@@ -263,8 +275,8 @@ def load(path) -> Topology:
     for field in ("area_side", "range"):
         if field not in doc:
             raise ConfigurationError(f"{path}: missing required field {field!r}")
-        if not _is_number(doc[field]):
-            raise ConfigurationError(f"{path}: field {field!r} must be a number")
+        if not _is_finite(doc[field]):
+            raise ConfigurationError(f"{path}: field {field!r} must be a finite number")
     nodes = doc.get("nodes")
     if not isinstance(nodes, list) or not nodes:
         raise ParseError(f"{path}: 'nodes' must be a non-empty list")
@@ -281,10 +293,8 @@ def load(path) -> Topology:
             raise ParseError(f"{path}: nodes[{idx}].id must be an integer, got {nid!r}")
         if nid in by_id:
             raise ParseError(f"{path}: duplicate node id {nid} at nodes[{idx}]")
-        if not (_is_number(x) and _is_number(y)):
-            raise ParseError(f"{path}: nodes[{idx}] coordinates must be numbers")
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise ParseError(f"{path}: nodes[{idx}] coordinates must be finite")
+        if not (_is_finite(x) and _is_finite(y)):
+            raise ParseError(f"{path}: nodes[{idx}] coordinates must be finite numbers")
         by_id[nid] = (float(x), float(y))
 
     n = len(by_id)

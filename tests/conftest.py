@@ -32,27 +32,29 @@ def path_topology(n):
 
 
 def star_topology(leaves=4):
-    """True star: center id 0, pairwise non-adjacent leaves (max 5 in the plane)."""
+    """True star: center id 0 at (1, 1), pairwise non-adjacent leaves (max 5
+    in the plane)."""
     assert 1 <= leaves <= 5
-    pts = [(0.0, 0.0)]
+    pts = [(1.0, 1.0)]
     for i in range(leaves):
         angle = 2 * math.pi * i / max(leaves, 3)
-        pts.append((0.95 * math.cos(angle), 0.95 * math.sin(angle)))
+        pts.append((1.0 + 0.95 * math.cos(angle), 1.0 + 0.95 * math.sin(angle)))
     t = make_topology(pts, 1.0)
     assert t.degree(0) == leaves and all(t.degree(v) == 1 for v in range(1, leaves + 1))
     return t
 
 
 def hub_topology(leaves=7):
-    """Center id 0 with `leaves` nodes packed close: center degree = leaves.
+    """Center id 0 at (1, 1) with `leaves` nodes packed close: center degree
+    = leaves.
 
     The leaves are mutually adjacent; use star_topology when leaf
     independence matters.
     """
-    pts = [(0.0, 0.0)]
+    pts = [(1.0, 1.0)]
     for i in range(leaves):
         angle = 2 * math.pi * i / leaves
-        pts.append((0.3 * math.cos(angle), 0.3 * math.sin(angle)))
+        pts.append((1.0 + 0.3 * math.cos(angle), 1.0 + 0.3 * math.sin(angle)))
     return make_topology(pts, 1.0)
 
 
@@ -95,6 +97,31 @@ def greedy_reference(t):
         heads.add(pick)
         uncovered -= closed[pick]
     return heads
+
+
+def two_for_one_reference(t, heads):
+    """The 2-for-1 step by plain sets: the first head pair (a, b) in id order
+    for which some node covers everything the other heads leave uncovered
+    is replaced by the lowest such node (or dropped when the other heads
+    cover everything); repeat until no pair qualifies."""
+    closed = {v: set(t.closed_neighborhood(v)) for v in range(t.n)}
+    hs = sorted(set(heads))
+    while len(hs) >= 2:
+        for a, b in itertools.combinations(hs, 2):
+            lost = set(range(t.n))
+            for h in hs:
+                if h not in (a, b):
+                    lost -= closed[h]
+            if not lost:
+                hs = sorted(set(hs) - {a, b})
+                break
+            v = next((v for v in range(t.n) if lost <= closed[v]), None)
+            if v is not None:
+                hs = sorted(set(hs) - {a, b} | {v})
+                break
+        else:
+            break
+    return set(hs)
 
 
 def wca_weight_reference(t, v, p):

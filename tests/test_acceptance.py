@@ -1,7 +1,8 @@
 """Acceptance suite: one test per release criterion, each printing a verdict line.
 
 The heavy benchmark sweep (5 node counts x 3 ranges x 10 seeds) runs once and
-is shared by the grid-reproduction and monotonicity checks.
+is shared by the grid-reproduction and monotonicity checks, which are marked
+``slow``: ``pytest -m "not slow"`` leaves them out.
 """
 
 import csv
@@ -53,6 +54,7 @@ def _verdict(number, label, ok, detail=""):
     print(f"ACCEPTANCE {number} {label}: {status}{(' - ' + detail) if detail else ''}")
 
 
+@pytest.mark.slow
 def test_criterion_1_reference_grid_reproduction(benchmark_sweep):
     spec, result, elapsed = benchmark_sweep
     misses = []
@@ -75,6 +77,7 @@ def test_criterion_1_reference_grid_reproduction(benchmark_sweep):
     )
 
 
+@pytest.mark.slow
 def test_criterion_2_monotonic_in_range(benchmark_sweep):
     spec, result, _ = benchmark_sweep
     counts = {(r.n, r.range, r.seed): r.head_count for r in result.ok_rows() if r.algorithm == "aco"}
@@ -151,7 +154,7 @@ def test_criterion_4_validity_suite():
         {},
         {"alpha": 1.0, "beta": 9.0},
         {"ants": 1, "evaporation_rate": 0.5},
-        {"greedy": True},
+        {"ants": 2, "beta": 0.0},
     ]
     for i in range(40):
         n = int(rng.integers(5, 36))
@@ -266,6 +269,7 @@ class TestCriterion8Determinism:
                  "graph/clustering/aggregates byte-identical; rows identical apart from timing column")
 
 
+@pytest.mark.slow
 def test_property_mean_heads_nearly_independent_of_node_count(benchmark_sweep):
     spec, result, _ = benchmark_sweep
     worst = 0.0

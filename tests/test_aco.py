@@ -24,6 +24,7 @@ from conftest import (
     path_topology,
     random_topology,
     star_topology,
+    two_for_one_reference,
 )
 
 
@@ -38,14 +39,14 @@ class TestParams:
     @pytest.mark.parametrize("kwargs", [
         {"alpha": -1}, {"beta": -0.5}, {"alpha": 0, "beta": 0}, {"ants": 0},
         {"evaporation_rate": 1.0}, {"evaporation_rate": -0.1}, {"beta": float("inf")},
-        {"iterations": 0}, {"seed": -3},
+        {"iterations": 0}, {"seed": -3}, {"alpha": 10**400},
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ConfigurationError):
             AcoParams(**kwargs).validate()
 
 
-    @pytest.mark.parametrize("kwargs", [{"ants": True}, {"greedy": "no"}, {"seed": False}, {"alpha": "9"}])
+    @pytest.mark.parametrize("kwargs", [{"ants": True}, {"iterations": 2.0}, {"seed": False}, {"alpha": "9"}])
     def test_rejected_when_built(self, kwargs):
         with pytest.raises(ConfigurationError):
             AcoParams(**kwargs)
@@ -148,50 +149,48 @@ class TestConstruct:
         heads = construct_solution(t, np.zeros(t.n), AcoParams(), 0, rng_for())
         assert heads == {0}
 
-    def test_star_from_leaf_greedy_adds_center(self):
-        t = star_topology(4)
-        heads = construct_solution(t, np.zeros(t.n), AcoParams(greedy=True), 1, rng_for())
-        assert heads == {1, 0}
-
     def test_complete_any_start(self):
         t = complete_topology(6)
         for start in range(6):
             heads = construct_solution(t, np.zeros(6), AcoParams(), start, rng_for())
             assert heads == {start}
 
-    @pytest.mark.parametrize("mode", [{}, {"greedy": True}])
-    def test_always_dominating(self, mode):
+    def test_always_dominating(self):
         rng = rng_for(42)
         for seed in range(6):
             t = random_topology(30, 200, float(rng.uniform(25, 90)), seed=seed)
-            heads = construct_solution(t, np.zeros(t.n), AcoParams(**mode),
+            heads = construct_solution(t, np.zeros(t.n), AcoParams(),
                                        int(rng.integers(t.n)), rng_for(seed))
             assert is_dominating(t, heads)
             assert len(heads) <= t.n
 
-    @pytest.mark.parametrize("ph, second", [([0.0, 0.0, 0.0, 0.0], 2), ([0.0, 0.0, 0.0, 5.0], 3)])
-    def test_greedy_second_head_is_lowest_id_argmax_of_selection(self, path4, ph, second):
+    @pytest.mark.parametrize("ph, u", [([0.0, 0.0, 0.0, 0.0], 0.3), ([0.0, 0.0, 0.0, 0.0], 0.7),
+                                       ([0.0, 0.0, 0.0, 5.0], 0.3), ([0.0, 0.0, 0.0, 5.0], 0.6)])
+    def test_roulette_second_head_follows_selection_probability(self, path4, ph, u):
+        class FixedDraw:
+            calls = 0
+
+            def random(self):
+                self.calls += 1
+                return u
+
         ph = np.array(ph)
-        params = AcoParams(greedy=True)
+        params = AcoParams()
         p = selection_probability(path4, ph, params, {1, 2, 3}, covered=path4.closed_neighborhood(0))
-        best = max(p.values())
-        assert min(v for v, q in p.items() if q == best) == second
-        # the start and the second head cover the path, so both are kept
-        assert construct_solution(path4, ph, params, 0, rng_for()) == {0, second}
+        cumulative = np.cumsum([p[v] for v in (1, 2, 3)])
+        second = (1, 2, 3)[int(np.argmax(cumulative > u))]
+        assert second in (2, 3)
+        # the start and the second head cover the path, so one draw ends the
+        # construction and both heads are kept
+        rng = FixedDraw()
+        assert construct_solution(path4, ph, params, 0, rng) == {0, second}
+        assert rng.calls == 1
 
     @pytest.mark.parametrize("ph", [[0.0, -1.0, 0.0, 0.0], [0.0, np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0, 0.0],
                                     [0.0, 0.0, 0.0]])
     def test_bad_pheromone_rejected(self, path4, ph):
         with pytest.raises(ConfigurationError, match="pheromone"):
             construct_solution(path4, np.array(ph), AcoParams(), 0, rng_for())
-
-    def test_beta_zero_greedy_deterministic(self):
-        t = random_topology(40, 200, 60, seed=5)
-        params = AcoParams(beta=0, greedy=True)
-        ph = np.array(np.linspace(0, 9, t.n))
-        a = construct_solution(t, ph, params, 3, rng_for(1))
-        b = construct_solution(t, ph, params, 3, rng_for(2))
-        assert a == b
 
     def test_contains_start(self):
         t = random_topology(25, 120, 40, seed=9)
@@ -220,6 +219,19 @@ class TestImproveTwoForOne:
                 after = improve_two_for_one(t, before)
                 assert is_dominating(t, after)
                 assert optimum <= len(after) <= len(before)
+
+    def test_matches_plain_set_reference(self):
+        rng = rng_for(23)
+        for _ in range(50):
+            n = int(rng.integers(5, 41))
+            t = random_topology(n, 100, float(rng.uniform(15, 60)), seed=int(rng.integers(1 << 16)))
+            built = construct_solution(t, np.zeros(n), AcoParams(), int(rng.integers(n)),
+                                       rng_for(int(rng.integers(1 << 16))))
+            padded = built | set(range(0, n, 3))
+            # a random subset usually leaves some node uncovered
+            partial = set(int(v) for v in rng.choice(n, size=int(rng.integers(2, n // 2 + 2)), replace=False))
+            for heads in (built, padded, partial):
+                assert improve_two_for_one(t, heads) == two_for_one_reference(t, heads)
 
     def test_deterministic(self):
         t = random_topology(60, 300, 70, seed=3)

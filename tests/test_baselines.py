@@ -126,6 +126,8 @@ class TestWcaWeight:
         {"head_tenure": {True: 1.0}},
         {"head_tenure": {1.0: 1.0}},
         {"head_tenure": {-1: 1.0}},
+        {"w1": 10**400},
+        {"mobility": {0: 10**400}},
     ])
     def test_rejected_when_built(self, kwargs):
         with pytest.raises(ConfigurationError):

@@ -258,6 +258,12 @@ class TestExperiment:
         {"wca": {"w1": True, "w2": 0, "w3": 0, "w4": 0}},
         {"aco": {"deposit_quantum": 1.0}},
         {"wca": {"head_tenure": {"-1": 1.0}}},
+        {"area_side": 10**400},
+        {"aco": {"alpha": 10**400}},
+        {"wca": {"w1": 10**400}},
+        {"wca": {"mobility": {" 1": 1.0}}},
+        {"wca": {"head_tenure": {"0_1": 1.0}}},
+        {"wca": {"mobility": {"+3": 1.0}}},
     ])
     def test_hostile_spec_exit_2_without_traceback(self, tmp_path, doc):
         # a tiny grid underneath, so a spec accepted by mistake fails fast
@@ -283,6 +289,33 @@ HOSTILE_FILES = {
     "top-level-array": b"[1, 2, 3]",
     "truncated": b'{"nodes": [{"id": 0, "x": 1.0,',
 }
+
+
+@pytest.mark.parametrize("doc", [
+    {"area_side": 10**400, "range": 2, "nodes": [{"id": 0, "x": 1, "y": 1}]},
+    {"area_side": 10, "range": 2, "nodes": [{"id": 0, "x": 10**400, "y": 1}]},
+])
+def test_int_too_large_for_a_float_in_graph_exit_2_without_traceback(tmp_path, doc):
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps(doc))
+    r = cli("solve", "--graph", graph, "--algorithm", "hd")
+    assert r.returncode == 2
+    assert r.stderr.startswith("error:")
+    assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("key", [" 0", "0_0", "+0"])
+@pytest.mark.parametrize("where", ["assignment", "roles"])
+def test_misspelled_id_key_in_clustering_exit_2_without_traceback(tmp_path, path4_file, where, key):
+    doc = {"heads": [1, 3], "assignment": {"0": 1, "2": 1}, "roles": {str(v): "ordinary" for v in range(4)}}
+    doc["roles"].update({"1": "head", "3": "head", "2": "gateway"})
+    doc[where] = {(key if k == "0" else k): v for k, v in doc[where].items()}
+    clustering = tmp_path / "c.json"
+    clustering.write_text(json.dumps(doc))
+    r = cli("verify", "--graph", path4_file, "--clustering", clustering)
+    assert r.returncode == 2
+    assert r.stderr.startswith("error:")
+    assert "Traceback" not in r.stderr
 
 
 @pytest.mark.parametrize("kind", sorted(HOSTILE_FILES))

@@ -143,6 +143,23 @@ class TestJsonAndValidate:
         with pytest.raises(ParseError, match="integers"):
             load_clustering(p)
 
+    @pytest.mark.parametrize("key", [" 1", "1 ", "0_1", "+1", "01"])
+    @pytest.mark.parametrize("where", ["assignment", "roles"])
+    def test_id_keys_spelled_as_str_writes_them(self, tmp_path, where, key):
+        doc = {"heads": [0], "assignment": {"1": 0}, "roles": {"0": HEAD, "1": ORDINARY}, "hops": 1}
+        doc[where] = {(key if k == "1" else k): v for k, v in doc[where].items()}
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match="keys"):
+            load_clustering(p)
+
+    def test_id_key_spellings_do_not_merge(self, tmp_path):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"heads": [0], "assignment": {"1": 0, " 1": 0},
+                                 "roles": {"0": HEAD, "1": ORDINARY}, "hops": 1}))
+        with pytest.raises(ParseError, match="keys"):
+            load_clustering(p)
+
     def test_validate_flags_uncovered(self, path4):
         c = Clustering(heads=frozenset({1}), assignment={0: 1, 2: 1},
                        roles={0: ORDINARY, 1: HEAD, 2: ORDINARY, 3: ORDINARY})

@@ -54,7 +54,7 @@ class TestSpecValidation:
 
     @pytest.mark.parametrize("overrides", [
         {"seeds": (-1,)}, {"seeds": (1.5,)}, {"ranges": (float("inf"),)}, {"area_side": float("nan")},
-        {"kconid_k": True}, {"kconid_k": 0}, {"aco": {"ants": 2}},
+        {"kconid_k": True}, {"kconid_k": 0}, {"aco": {"ants": 2}}, {"area_side": 10**400}, {"ranges": (10**400,)},
     ])
     def test_rejected_when_built(self, overrides):
         with pytest.raises(ConfigurationError):
@@ -228,4 +228,18 @@ class TestSpecFile:
         p = tmp_path / "spec.json"
         p.write_text(json.dumps({"seeds": []}))
         with pytest.raises(ConfigurationError, match="seeds"):
+            load_spec(p)
+
+    @pytest.mark.parametrize("key", [" 1", "1 ", "0_1", "+1", "01"])
+    @pytest.mark.parametrize("mapping", ["mobility", "head_tenure"])
+    def test_wca_map_keys_spelled_as_str_writes_them(self, tmp_path, mapping, key):
+        p = tmp_path / "spec.json"
+        p.write_text(json.dumps({"wca": {mapping: {key: 1.0}}}))
+        with pytest.raises(ConfigurationError, match="plain integer"):
+            load_spec(p)
+
+    def test_wca_map_key_spellings_do_not_merge(self, tmp_path):
+        p = tmp_path / "spec.json"
+        p.write_text(json.dumps({"wca": {"mobility": {"1": 1.0, " 1": 2.0}}}))
+        with pytest.raises(ConfigurationError):
             load_spec(p)

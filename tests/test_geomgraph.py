@@ -7,7 +7,26 @@ import pytest
 from antclust.errors import ConfigurationError, NodeNotFoundError, ParseError
 from antclust.geomgraph import Topology, TopologyConfig, generate, load, save
 
-from conftest import bfs_within, complete_topology, make_topology, path_topology, random_topology, star_topology
+from conftest import (
+    bfs_within,
+    complete_topology,
+    edgeless_topology,
+    hub_topology,
+    make_topology,
+    path_topology,
+    random_topology,
+    star_topology,
+)
+
+# every topology builder of the test suite, at a few sizes
+TEST_BUILDERS = {
+    "path5": lambda: path_topology(5),
+    "complete4": lambda: complete_topology(4),
+    "edgeless3": lambda: edgeless_topology(3),
+    "random30": lambda: random_topology(30, 100, 30, seed=1),
+    **{f"star{k}": (lambda k=k: star_topology(k)) for k in range(1, 6)},
+    **{f"hub{k}": (lambda k=k: hub_topology(k)) for k in (1, 4, 7)},
+}
 
 
 class TestConfig:
@@ -27,6 +46,11 @@ class TestConfig:
     def test_bool_rejected(self, field):
         with pytest.raises(ConfigurationError, match=field):
             TopologyConfig(**{"n": 3, field: True}).validate()
+
+    @pytest.mark.parametrize("field", ["area_side", "range"])
+    def test_int_too_large_for_a_float_rejected(self, field):
+        with pytest.raises(ConfigurationError, match=field):
+            TopologyConfig(**{"n": 3, field: 10**400})
 
     def test_generate_requires_seed(self):
         with pytest.raises(ConfigurationError, match="seed"):
@@ -266,6 +290,31 @@ class TestSaveLoad:
         p.write_text(json.dumps(doc))
         with pytest.raises(error, match="number"):
             load(p)
+
+    @pytest.mark.parametrize("field, error", [
+        ("area_side", ConfigurationError), ("range", ConfigurationError), ("x", ParseError), ("y", ParseError),
+    ])
+    def test_int_too_large_for_a_float_rejected(self, tmp_path, field, error):
+        doc = {"area_side": 10, "range": 2, "nodes": [{"id": 0, "x": 1, "y": 0}]}
+        if field in doc:
+            doc[field] = 10**400
+        else:
+            doc["nodes"][0][field] = 10**400
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(error, match="number"):
+            load(p)
+
+    @pytest.mark.parametrize("name", sorted(TEST_BUILDERS))
+    def test_test_builders_round_trip_without_warning(self, tmp_path, name):
+        # warnings are errors in this suite, so a builder that places a node
+        # outside [0, area_side]^2 fails here
+        t = TEST_BUILDERS[name]()
+        p = tmp_path / "g.json"
+        save(t, p)
+        back = load(p)
+        assert back == t
+        assert (back.adjacency_matrix == t.adjacency_matrix).all()
 
     def test_not_json(self, tmp_path):
         p = tmp_path / "junk.json"
