@@ -6,7 +6,8 @@ newly cover at least one node) with probability proportional to
 
     score(v) = alpha * gain(v) + beta * pheromone(v)
 
-where gain(v) is the number of nodes v would newly cover; pheromone is a
+where gain(v) is the number of nodes v would newly cover, alpha > 0 and
+beta >= 0, so every useful candidate has a positive score; pheromone is a
 plain non-negative float array with one entry per node. After each
 iteration the iteration's best set is improved by a deterministic 2-for-1
 local search (replace two heads by one node while the set still dominates),
@@ -29,7 +30,7 @@ from .geomgraph import Topology, _is_finite, _is_int
 class AcoParams:
     """Tunables for the ant-colony solver.
 
-    alpha scales the coverage gain, beta scales the pheromone
+    alpha (> 0) scales the coverage gain, beta (>= 0) scales the pheromone
     concentration; every ant picks each next head by roulette-wheel
     sampling over those scores. ``iterations`` defaults to the node count
     when None. Valid by construction: ``validate`` runs when it is built.
@@ -50,10 +51,8 @@ class AcoParams:
             value = getattr(self, name)
             if not _is_finite(value):
                 raise ConfigurationError(f"{name} must be a finite number, got {value!r}")
-        if self.alpha < 0 or self.beta < 0:
-            raise ConfigurationError(f"alpha and beta must be >= 0, got alpha={self.alpha}, beta={self.beta}")
-        if self.alpha + self.beta <= 0:
-            raise ConfigurationError("alpha + beta must be > 0")
+        if self.alpha <= 0 or self.beta < 0:
+            raise ConfigurationError(f"alpha must be > 0 and beta >= 0, got alpha={self.alpha}, beta={self.beta}")
         if not _is_int(self.ants) or self.ants < 1:
             raise ConfigurationError(f"ants must be an integer >= 1, got {self.ants!r}")
         if not 0 <= self.evaporation_rate < 1:
@@ -69,10 +68,6 @@ class AcoSolution:
     heads: frozenset[int]
     iteration_found: int
     head_count_history: list[int]
-
-    @property
-    def head_count(self) -> int:
-        return len(self.heads)
 
 
 def _checked_pheromone(ph: np.ndarray, n: int | None = None) -> np.ndarray:
@@ -122,14 +117,14 @@ def update_pheromone(ph: np.ndarray, best_heads, params: AcoParams) -> np.ndarra
     read beta * pheromone.)
     """
     ph = _checked_pheromone(ph)
-    heads = sorted({int(v) for v in best_heads})
+    n = len(ph)
+    heads = set(best_heads)
     if not heads:
         raise ValueError("best_heads must be non-empty")
-    n = len(ph)
-    if heads[0] < 0 or heads[-1] >= n:
-        raise ValueError(f"head ids must be within 0..{n - 1}")
+    if any(isinstance(v, bool) or not isinstance(v, (int, np.integer)) or not 0 <= v < n for v in heads):
+        raise ValueError(f"head ids must be integers within 0..{n - 1}, got {heads!r}")
     values = ph * (1.0 - params.evaporation_rate)
-    values[heads] += n / len(heads)
+    values[list(heads)] += n / len(heads)
     return values
 
 
@@ -138,9 +133,10 @@ def construct_solution(t: Topology, ph: np.ndarray, params: AcoParams, start, rn
 
     Candidates at each step are the non-head nodes that would newly cover at
     least one node; every uncovered node qualifies, so the loop always makes
-    progress and finishes within n additions.
+    progress and finishes within n additions. Each pick is one roulette draw,
+    ``rng.random()``, over the candidates' scores.
     """
-    start = t._check_id(start)
+    pick = t._check_id(start)
     ph = _checked_pheromone(ph, t.n)
     closed = t.closed_neighborhood_matrix
     ph_scores = params.beta * ph
@@ -150,36 +146,26 @@ def construct_solution(t: Topology, ph: np.ndarray, params: AcoParams, start, rn
     # reaches w loses one
     gains = (t.degrees + 1).astype(np.int64)
     covered = np.zeros(t.n, dtype=bool)
-
-    def add_head(v: int) -> None:
-        nonlocal gains
-        newly = closed[v] & ~covered
-        covered[newly] = True
-        gains -= closed[np.flatnonzero(newly)].sum(axis=0)
-
-    heads = [start]
-    add_head(start)
-    while not covered.all():
-        cand = np.flatnonzero(gains > 0)
-        scores = _scores(params, gains, ph_scores, cand)
-        total = float(scores.sum())
-        if total <= 0:
-            pick = int(cand[rng.integers(len(cand))])  # all scores zero: fall back to uniform
-        else:
-            r = rng.random() * total
-            pos = int(np.searchsorted(np.cumsum(scores), r, side="right"))
-            pick = int(cand[min(pos, len(cand) - 1)])
+    heads: list[int] = []
+    while True:
         heads.append(pick)
-        add_head(pick)
+        newly = closed[pick] & ~covered
+        covered |= newly
+        gains -= closed[newly].sum(axis=0)
+        if covered.all():
+            break
+        cand = np.flatnonzero(gains > 0)
+        cs = np.cumsum(_scores(params, gains, ph_scores, cand))
+        pos = int(np.searchsorted(cs, rng.random() * cs[-1], side="right"))
+        pick = int(cand[min(pos, len(cand) - 1)])  # pos is len(cand) only if a score overflows to inf
 
     # minimalize: drop heads made redundant by later picks (never the forced
     # start), newest first so early structural picks are kept
-    if len(heads) > 1:
-        cover_count = closed[heads].sum(axis=0)
-        for h in heads[:0:-1]:
-            if (cover_count[closed[h]] >= 2).all():
-                cover_count[closed[h]] -= 1
-                heads.remove(h)
+    cover_count = closed[heads].sum(axis=0)
+    for h in heads[:0:-1]:
+        if (cover_count[closed[h]] >= 2).all():
+            cover_count[closed[h]] -= 1
+            heads.remove(h)
     return set(heads)
 
 
@@ -215,8 +201,9 @@ def improve_two_for_one(t: Topology, heads) -> set[int]:
 
 
 def _ant_rng(seed: int, iteration: int, ant: int) -> np.random.Generator:
-    # stream derivation keyed on (seed, iteration, ant): concurrent and
-    # sequential execution of an iteration's ants give identical results
+    # one stream per (seed, iteration, ant): an ant's draws depend on nothing
+    # else, so a change to how many draws one ant takes leaves every other
+    # ant's draws as they were
     return np.random.default_rng((seed, iteration, ant))
 
 
@@ -239,12 +226,9 @@ def solve(t: Topology, params: AcoParams | None = None) -> AcoSolution:
     history: list[int] = []
     for iteration in range(iterations):
         start = iteration % t.n
-        iteration_best: set[int] | None = None
-        for ant in range(params.ants):
-            heads = construct_solution(t, ph, params, start, _ant_rng(params.seed, iteration, ant))
-            if iteration_best is None or len(heads) < len(iteration_best):
-                iteration_best = heads
-        iteration_best = improve_two_for_one(t, iteration_best)
+        constructions = [construct_solution(t, ph, params, start, _ant_rng(params.seed, iteration, ant))
+                         for ant in range(params.ants)]
+        iteration_best = improve_two_for_one(t, min(constructions, key=len))
         history.append(len(iteration_best))
         if best is None or len(iteration_best) < len(best):
             best = iteration_best

@@ -26,7 +26,7 @@ ALGORITHM_CHOICES = experiments.ALGORITHMS
 
 def _add_aco_flags(p: argparse.ArgumentParser) -> None:
     d = aco.AcoParams()
-    p.add_argument("--alpha", type=float, default=d.alpha, help="coverage-gain multiplier (default %(default)s)")
+    p.add_argument("--alpha", type=float, default=d.alpha, help="coverage-gain multiplier, > 0 (default %(default)s)")
     p.add_argument("--beta", type=float, default=d.beta, help="pheromone multiplier (default %(default)s)")
     p.add_argument("--ants", type=int, default=d.ants, help="constructions per iteration (default %(default)s)")
     p.add_argument("--evaporation-rate", type=float, default=d.evaporation_rate,

@@ -41,7 +41,8 @@ DEFAULT_SEEDS = tuple(range(10))
 @dataclass(frozen=True)
 class ExperimentSpec:
     """A sweep grid, its solvers and their settings. Valid by construction:
-    the sequences are stored as tuples and ``validate`` runs when it is built."""
+    the sequences are stored as tuples and ``validate`` runs when it is built.
+    ``run`` seeds each colony with its topology seed, not ``aco.seed``."""
 
     node_counts: tuple[int, ...] = DEFAULT_NODE_COUNTS
     ranges: tuple[float, ...] = DEFAULT_RANGES
@@ -71,6 +72,11 @@ class ExperimentSpec:
         for name in self.algorithms:
             if name not in ALGORITHMS:
                 raise ConfigurationError(f"unknown algorithm {name!r}; known: {', '.join(ALGORITHMS)}")
+        # a repeat would count its runs twice in the aggregates; 200 == 200.0
+        for name in ("node_counts", "ranges", "seeds", "algorithms"):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise ConfigurationError(f"{name} must not repeat a value, got {values!r}")
         if not _is_int(self.kconid_k) or self.kconid_k < 1:
             raise ConfigurationError(f"kconid_k must be an integer >= 1, got {self.kconid_k!r}")
         if not isinstance(self.aco, aco.AcoParams):
@@ -148,7 +154,8 @@ def run(spec: ExperimentSpec) -> ExperimentResult:
     """Execute the sweep. Solver failures are recorded per row, never fatal.
 
     Each topology is generated once from (n, range, seed); every algorithm
-    runs ``elect`` on it, with the colony seeded by the same seed.
+    runs ``elect`` on it, with the colony seeded by the same seed in place
+    of ``spec.aco.seed``.
     """
     rows: list[RunRow] = []
     for n in spec.node_counts:
@@ -214,13 +221,16 @@ def export_json(result: ExperimentResult, path) -> None:
 def load_spec(path) -> ExperimentSpec:
     """Read an ExperimentSpec from JSON; keys are the dataclass field names.
     Values pass through to the constructors, which check them, except the
-    WCA map keys: JSON writes them as strings, so they are read as ids."""
+    WCA map keys: JSON writes them as strings, so they are read as ids. An
+    ``aco.seed`` key is refused, as ``run`` seeds the colony with the topology seed."""
     doc = _read_json_object(path)
     unknown = set(doc) - {f.name for f in fields(ExperimentSpec)}
     if unknown:
         raise ConfigurationError(f"{path}: unknown spec fields: {sorted(unknown)}")
     try:
         if "aco" in doc:
+            if "seed" in doc["aco"]:
+                raise ConfigurationError("aco.seed is not read: the sweep seeds the colony with the topology seed")
             doc["aco"] = aco.AcoParams(**doc["aco"])
         if "wca" in doc:
             wca_kwargs = dict(doc["wca"])

@@ -1,8 +1,9 @@
 """Acceptance suite: one test per release criterion, each printing a verdict line.
 
 The heavy benchmark sweep (5 node counts x 3 ranges x 10 seeds) runs once and
-is shared by the grid-reproduction and monotonicity checks, which are marked
-``slow``: ``pytest -m "not slow"`` leaves them out.
+is shared by the grid-reproduction, monotonicity, node-count independence and
+recorded head-count checks, which are marked ``slow``: ``pytest -m "not slow"``
+leaves them out.
 """
 
 import csv
@@ -89,6 +90,39 @@ def test_criterion_2_monotonic_in_range(benchmark_sweep):
     frac = monotone / len(pairs)
     _verdict(2, "head count non-increasing in range", frac >= 0.95, f"{monotone}/{len(pairs)} runs monotone")
     assert frac >= 0.95
+
+
+# colony head counts of the default sweep, (n, R) -> seeds 0..9, recorded
+# before the construction loop was merged into one pick path. A change that
+# alters head counts by design updates this table and says why.
+DEFAULT_GRID_HEAD_COUNTS = {
+    (50, 200): (11, 9, 12, 10, 10, 10, 10, 11, 9, 10),
+    (50, 300): (6, 5, 6, 5, 6, 5, 5, 6, 5, 5),
+    (50, 400): (4, 3, 3, 4, 4, 3, 4, 4, 3, 4),
+    (100, 200): (11, 10, 9, 10, 10, 10, 10, 11, 10, 10),
+    (100, 300): (6, 5, 6, 5, 6, 5, 5, 5, 6, 5),
+    (100, 400): (4, 4, 4, 4, 4, 4, 4, 4, 4, 4),
+    (200, 200): (11, 11, 10, 11, 11, 12, 10, 12, 10, 11),
+    (200, 300): (6, 6, 5, 6, 5, 6, 5, 6, 5, 6),
+    (200, 400): (4, 4, 4, 4, 4, 4, 4, 4, 4, 4),
+    (300, 200): (11, 11, 11, 11, 11, 12, 11, 11, 11, 11),
+    (300, 300): (6, 6, 6, 6, 6, 6, 6, 6, 5, 6),
+    (300, 400): (4, 4, 4, 4, 4, 4, 4, 4, 4, 4),
+    (400, 200): (11, 11, 12, 11, 11, 11, 11, 12, 11, 11),
+    (400, 300): (6, 5, 6, 6, 6, 6, 6, 6, 6, 5),
+    (400, 400): (4, 4, 4, 4, 4, 4, 4, 4, 4, 4),
+}
+
+
+@pytest.mark.slow
+def test_default_grid_head_counts_unchanged(benchmark_sweep):
+    _, result, _ = benchmark_sweep
+    counts = {(r.n, r.range, r.seed): r.head_count for r in result.ok_rows() if r.algorithm == "aco"}
+    expected = {(n, float(rg), seed): h for (n, rg), row in DEFAULT_GRID_HEAD_COUNTS.items()
+                for seed, h in enumerate(row)}
+    changed = {key: (expected.get(key), counts.get(key)) for key in expected.keys() | counts.keys()
+               if expected.get(key) != counts.get(key)}
+    assert not changed, f"(n, R, seed): (recorded, now) for {len(changed)} runs: {sorted(changed.items())}"
 
 
 def test_criterion_3_matches_exhaustive_optimum_at_desk_scale():

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import time
 from dataclasses import replace
 
@@ -39,7 +41,7 @@ class TestParams:
     @pytest.mark.parametrize("kwargs", [
         {"alpha": -1}, {"beta": -0.5}, {"alpha": 0, "beta": 0}, {"ants": 0},
         {"evaporation_rate": 1.0}, {"evaporation_rate": -0.1}, {"beta": float("inf")},
-        {"iterations": 0}, {"seed": -3}, {"alpha": 10**400},
+        {"iterations": 0}, {"seed": -3}, {"alpha": 10**400}, {"alpha": 0},
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ConfigurationError):
@@ -98,9 +100,9 @@ class TestSelectionProbability:
             selection_probability(path3, np.zeros(3), AcoParams(), set())
 
     def test_zero_denominator(self, path3):
-        params = AcoParams(alpha=0, beta=1)
+        # every candidate's neighbourhood is covered and carries no pheromone
         with pytest.raises(ValueError, match="degenerate"):
-            selection_probability(path3, np.zeros(3), params, {0, 1})
+            selection_probability(path3, np.zeros(3), AcoParams(), {0, 1}, covered={0, 1, 2})
 
     def test_scaling_alpha_beta_leaves_probabilities_unchanged(self):
         rng = rng_for(7)
@@ -186,6 +188,48 @@ class TestConstruct:
         assert construct_solution(path4, ph, params, 0, rng) == {0, second}
         assert rng.calls == 1
 
+    @pytest.mark.parametrize("seed, ph_scale", [(0, 0.0), (1, 0.0), (2, 3.0), (3, 40.0)])
+    def test_one_draw_per_pick_matches_plain_reference(self, seed, ph_scale):
+        """Replaying the same draws, a plain-set construction that picks by
+        ``selection_probability`` adds the same heads; each head after the
+        start takes exactly one ``random()`` draw and nothing else."""
+        class CountingDraws:
+            def __init__(self, seed):
+                self.gen = np.random.default_rng(seed)
+                self.draws = []
+
+            def random(self):
+                self.draws.append(self.gen.random())
+                return self.draws[-1]
+
+            def integers(self, *args, **kwargs):
+                raise AssertionError("construction must not draw integers")
+
+        t = random_topology(40, 300, 80, seed=seed)
+        ph = rng_for(seed).uniform(0, ph_scale, size=t.n)
+        params = AcoParams()
+        start = seed % t.n
+        rng = CountingDraws(100 + seed)
+        heads = construct_solution(t, ph, params, start, rng)
+
+        closed = {v: set(t.closed_neighborhood(v)) for v in range(t.n)}
+        picks, covered = [start], set(closed[start])
+        for u in rng.draws:
+            cand = sorted(v for v in range(t.n) if closed[v] - covered)
+            p = selection_probability(t, ph, params, cand, covered=covered)
+            pick = cand[int(np.argmax(np.cumsum([p[v] for v in cand]) > u))]
+            picks.append(pick)
+            covered |= closed[pick]
+        assert len(covered) == t.n and len(picks) == len(rng.draws) + 1
+        cover_count = {w: sum(w in closed[h] for h in picks) for w in range(t.n)}
+        kept = list(picks)
+        for h in picks[:0:-1]:
+            if all(cover_count[w] >= 2 for w in closed[h]):
+                for w in closed[h]:
+                    cover_count[w] -= 1
+                kept.remove(h)
+        assert heads == set(kept)
+
     @pytest.mark.parametrize("ph", [[0.0, -1.0, 0.0, 0.0], [0.0, np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0, 0.0],
                                     [0.0, 0.0, 0.0]])
     def test_bad_pheromone_rejected(self, path4, ph):
@@ -270,6 +314,15 @@ class TestUpdatePheromone:
             assert (ph >= 0).all()
         assert ph.max() <= bound + 1e-9
 
+    @pytest.mark.parametrize("heads", [[1.7], [True], ["2"], [3], [-1]])
+    def test_non_id_rejected(self, heads):
+        with pytest.raises(ValueError, match="integers"):
+            update_pheromone(np.zeros(3), heads, AcoParams())
+
+    def test_numpy_integer_ids_accepted(self):
+        out = update_pheromone(np.zeros(3), [np.int64(1)], AcoParams(evaporation_rate=0.0))
+        assert out.tolist() == [0.0, 3.0, 0.0]
+
     def test_original_state_not_mutated(self):
         ph = np.array([1.0, 2.0])
         update_pheromone(ph, {0}, AcoParams())
@@ -334,3 +387,24 @@ class TestSolve:
             solve(t, params)
             times[n] = time.perf_counter() - t0
         assert times[200] < 10 * times[100]
+
+
+# sha256 of json.dumps([sorted heads, iteration_found, head_count_history])
+# from solve with default settings, the topology seed as the colony seed,
+# n = 80 on the 1000 x 1000 area. Any change to how an ant draws or picks,
+# or to how an iteration's best is chosen, changes these digests.
+GOLDEN_SOLVES = {
+    (150.0, 0): "1568530032cbe04f8eecfab4496cef6f55158f274d700d48951aa72341c4a3e9",
+    (150.0, 1): "de6177ad34c2713c612339f9be540e1d4f23e7288db848488c20c7ef5408c515",
+    (150.0, 2): "52cf5e60bbb220f19503530ce15e41bde8c97f82d3affdaa65b9bac1591ed72c",
+    (200.0, 0): "23a4c66ec7eee6049e6e18edc2620668d48246371419bc673eea2bc3dc851f1d",
+    (200.0, 1): "04ea5b32c0bbc505e2a0bd6bf773b8104dbb736f2e780036d5fa82aefe434dad",
+    (200.0, 2): "47e20883631d2538d6d75974154401d3252772814bf9b134465563b7622d0e5c",
+}
+
+
+@pytest.mark.parametrize("radio_range, seed", sorted(GOLDEN_SOLVES))
+def test_golden_solves(radio_range, seed):
+    sol = solve(random_topology(80, 1000, radio_range, seed=seed), AcoParams(seed=seed))
+    doc = json.dumps([sorted(sol.heads), sol.iteration_found, sol.head_count_history])
+    assert hashlib.sha256(doc.encode()).hexdigest() == GOLDEN_SOLVES[(radio_range, seed)]

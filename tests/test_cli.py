@@ -132,6 +132,7 @@ class TestSolve:
     @pytest.mark.parametrize("algorithm, flags", [
         ("lic", ["--alpha", "nan"]),
         ("aco", ["--k", "0"]),
+        ("aco", ["--alpha", "0"]),
     ])
     def test_invalid_setting_exit_2_whatever_the_algorithm(self, path4_file, algorithm, flags):
         # every setting is checked when the CLI builds it, not only by the
@@ -192,6 +193,11 @@ class TestCompare:
     def test_unknown_algorithm(self, star_file):
         r = cli("compare", "--graph", star_file, "--algorithms", "aco,nope")
         assert r.returncode == 2
+
+    def test_repeated_algorithm_exit_2(self, star_file):
+        r = cli("compare", "--graph", star_file, "--algorithms", "aco,aco")
+        assert r.returncode == 2
+        assert "error: algorithms must not repeat" in r.stderr
 
     def test_no_algorithm_exit_2(self, star_file):
         r = cli("compare", "--graph", star_file, "--algorithms", ",")
@@ -264,6 +270,9 @@ class TestExperiment:
         {"wca": {"mobility": {" 1": 1.0}}},
         {"wca": {"head_tenure": {"0_1": 1.0}}},
         {"wca": {"mobility": {"+3": 1.0}}},
+        {"seeds": [0, 0]},
+        {"ranges": [60, 60.0]},
+        {"aco": {"seed": 9}},
     ])
     def test_hostile_spec_exit_2_without_traceback(self, tmp_path, doc):
         # a tiny grid underneath, so a spec accepted by mistake fails fast

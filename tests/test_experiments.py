@@ -48,6 +48,16 @@ class TestSpecValidation:
         with pytest.raises(ConfigurationError, match="node_counts"):
             tiny_spec(node_counts=(0,)).validate()
 
+    @pytest.mark.parametrize("overrides", [
+        {"node_counts": (12, 16, 12)}, {"ranges": (120, 120.0)}, {"seeds": (0, 1, 0)},
+        {"algorithms": ("hd", "lic", "hd")},
+    ])
+    def test_repeated_value_rejected(self, overrides):
+        # a repeated seed would count its runs twice in the aggregates
+        field_name = next(iter(overrides))
+        with pytest.raises(ConfigurationError, match=f"{field_name} must not repeat"):
+            tiny_spec(**overrides)
+
     def test_sequences_stored_as_tuples(self):
         spec = tiny_spec(node_counts=[12], ranges=[120.0], seeds=[0, 1], algorithms=["hd"])
         assert (spec.node_counts, spec.ranges, spec.seeds, spec.algorithms) == ((12,), (120.0,), (0, 1), ("hd",))
@@ -208,7 +218,7 @@ class TestSpecFile:
             "area_side": 300,
             "seeds": [0, 1, 2],
             "algorithms": ["aco", "wca"],
-            "aco": {"ants": 5, "seed": 9},
+            "aco": {"ants": 5},
             "wca": {"w1": 0.4, "w2": 0.4, "w3": 0.1, "w4": 0.1, "ideal_degree": 6},
             "kconid_k": 2,
         }))
@@ -217,6 +227,13 @@ class TestSpecFile:
         assert spec.aco.ants == 5
         assert spec.wca.ideal_degree == 6
         assert spec.kconid_k == 2
+
+    def test_aco_seed_rejected(self, tmp_path):
+        # run seeds each colony with its topology seed, so the key would do nothing
+        p = tmp_path / "spec.json"
+        p.write_text(json.dumps({"aco": {"ants": 5, "seed": 9}}))
+        with pytest.raises(ConfigurationError, match="aco.seed"):
+            load_spec(p)
 
     def test_unknown_field_rejected(self, tmp_path):
         p = tmp_path / "spec.json"
