@@ -18,6 +18,7 @@ rate. The smallest head set seen anywhere is returned.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,6 +82,17 @@ def _checked_pheromone(ph: np.ndarray, n: int | None = None) -> np.ndarray:
     return ph
 
 
+def _check_roulette_total(n: int, ph: np.ndarray, params: AcoParams) -> None:
+    """The roulette total lies between alpha (one candidate newly covering one
+    node) and n * (alpha * n + beta * max(pheromone)). A pick draws u * total
+    with u in [0, 1), which stays below the total, so inside the candidate
+    list, only while the total is finite and no smaller than 2**-1021."""
+    top = float(ph.max())
+    if not (math.isfinite(n * (params.alpha * n + params.beta * top)) and params.alpha >= 2.0 ** -1021):
+        raise ConfigurationError(f"alpha={params.alpha!r}, beta={params.beta!r} and pheromone up to {top!r} "
+                                 f"put the {n}-node selection scores outside the float range")
+
+
 def _scores(params: AcoParams, gains: np.ndarray, ph_scores: np.ndarray, cand: np.ndarray) -> np.ndarray:
     """alpha * gain + beta * pheromone over ``cand``, given ph_scores = beta * pheromone."""
     return params.alpha * gains[cand] + ph_scores[cand]
@@ -95,6 +107,7 @@ def selection_probability(t: Topology, ph: np.ndarray, params: AcoParams, candid
     scores ``construct_solution`` samples from.
     """
     ph = _checked_pheromone(ph, t.n)
+    _check_roulette_total(t.n, ph, params)
     cand = sorted({t._check_id(v) for v in candidates})
     if not cand:
         raise ValueError("candidates must be non-empty")
@@ -138,6 +151,7 @@ def construct_solution(t: Topology, ph: np.ndarray, params: AcoParams, start, rn
     """
     pick = t._check_id(start)
     ph = _checked_pheromone(ph, t.n)
+    _check_roulette_total(t.n, ph, params)
     closed = t.closed_neighborhood_matrix
     ph_scores = params.beta * ph
 
@@ -157,7 +171,7 @@ def construct_solution(t: Topology, ph: np.ndarray, params: AcoParams, start, rn
         cand = np.flatnonzero(gains > 0)
         cs = np.cumsum(_scores(params, gains, ph_scores, cand))
         pos = int(np.searchsorted(cs, rng.random() * cs[-1], side="right"))
-        pick = int(cand[min(pos, len(cand) - 1)])  # pos is len(cand) only if a score overflows to inf
+        pick = int(cand[pos])
 
     # minimalize: drop heads made redundant by later picks (never the forced
     # start), newest first so early structural picks are kept

@@ -72,7 +72,8 @@ def wca_weights(t: Topology, p: WcaParams) -> np.ndarray:
     """Combined election weight of every node: degree deviation, summed
     neighbour distances, mobility and tenure."""
     x, y = np.array(t.positions).T
-    u, w = np.nonzero(t.adjacency_matrix)
+    # the closed matrix adds each node's self-pair at distance 0.0, which adds nothing
+    u, w = np.nonzero(t.closed_neighborhood_matrix)
     dist_sum = np.bincount(u, weights=np.hypot(x[u] - x[w], y[u] - y[w]), minlength=t.n)
     mobility = _per_node(t, "mobility", p.mobility)
     tenure = _per_node(t, "head_tenure", p.head_tenure)

@@ -61,7 +61,8 @@ def compute_roles(t: Topology, heads) -> dict[int, str]:
     """Head for heads; gateway for a non-head in range of >= 2 heads; ordinary otherwise."""
     ids = _checked_heads(t, heads)
     head_set = set(ids)
-    adjacent_heads = t.adjacency_matrix[:, ids].sum(axis=1).tolist()
+    # a non-head v is not in ids, so closed[v, ids] is exactly v's adjacent heads
+    adjacent_heads = t.closed_neighborhood_matrix[:, ids].sum(axis=1).tolist()
     return {
         v: HEAD if v in head_set else GATEWAY if adjacent_heads[v] >= 2 else ORDINARY
         for v in range(t.n)
@@ -79,8 +80,9 @@ def assign_members(t: Topology, heads) -> Clustering:
     if missing:
         raise ValidityError(f"heads do not dominate; uncovered nodes: {missing}", uncovered=missing)
     head_set = frozenset(ids)
-    # the first adjacent head column in ascending id order is the lowest-id head
-    first = t.adjacency_matrix[:, ids].argmax(axis=1).tolist()
+    # the first adjacent head column in ascending id order is the lowest-id
+    # head; closed[v, ids] is v's adjacent heads for every non-head v
+    first = t.closed_neighborhood_matrix[:, ids].argmax(axis=1).tolist()
     assignment = {v: ids[i] for v, i in enumerate(first) if v not in head_set}
     return Clustering(heads=head_set, assignment=assignment, roles=compute_roles(t, ids), hops=1)
 

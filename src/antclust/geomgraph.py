@@ -1,13 +1,14 @@
-"""Unit-disk topology graphs: node placement, adjacency and k-hop reach.
+"""Unit-disk topology graphs: node placement, neighbourhoods and k-hop reach.
 
 Nodes are points in a square; two nodes are linked iff their Euclidean
-distance is strictly below the transmission range. Adjacency is always
+distance is strictly below the transmission range. Links are always
 derived from positions, never stored in files.
 
-The boolean adjacency matrix is the one graph representation. Every
+The boolean closed-neighbourhood matrix (each node and the nodes in its
+range) is the one graph representation. Every
 "who is in range of whom" and "who is within k hops" question is answered
 from it: ``Topology.reach(k)`` is the matrix of pairs at most k hops apart,
-and ``reach(1)`` is the closed neighbourhood matrix.
+and ``reach(1)`` is the closed-neighbourhood matrix itself.
 """
 
 from __future__ import annotations
@@ -97,17 +98,18 @@ class TopologyConfig:
             raise ConfigurationError(f"n must be an integer >= 1, got {self.n!r}")
         if not (_is_finite(self.area_side) and self.area_side > 0):
             raise ConfigurationError(f"area_side must be a finite positive number, got {self.area_side!r}")
-        if not (_is_finite(self.range) and self.range > 0):
-            raise ConfigurationError(f"range must be a finite positive number, got {self.range!r}")
+        # a range whose square underflows to 0 would leave each node out of its own range
+        if not (_is_finite(self.range) and self.range > 0 and self.range * self.range > 0):
+            raise ConfigurationError(f"range must be a finite positive number with a nonzero square, got {self.range!r}")
         if self.seed is not None and (not _is_int(self.seed) or self.seed < 0):
             raise ConfigurationError(f"seed must be a non-negative integer or None, got {self.seed!r}")
 
 
 class Topology:
-    """Immutable node positions plus the derived strict-range adjacency matrix.
+    """Immutable node positions plus the derived closed-neighbourhood matrix.
 
     Node ids are dense 0..n-1. Neighbourhoods, degrees and k-hop reach are
-    all read from the boolean adjacency matrix; ``reach(k)`` matrices are
+    all read from the closed-neighbourhood matrix; ``reach(k)`` matrices are
     built on first use and cached per k. Safe for concurrent read access.
     """
 
@@ -122,20 +124,22 @@ class Topology:
         self._positions = tuple(pts)
         x, y = np.array(pts).T
         r2 = float(config.range) * float(config.range)
-        adj = np.empty((config.n, config.n), dtype=bool)
+        closed = np.empty((config.n, config.n), dtype=bool)
         # a block of rows at a time: the float64 temporaries stay at
-        # 2 x _BUILD_ROWS x n values instead of 2 x n x n
-        for lo in range(0, config.n, _BUILD_ROWS):
-            rows = slice(lo, lo + _BUILD_ROWS)
-            d2 = np.subtract.outer(x[rows], x)
-            d2 *= d2
-            dy = np.subtract.outer(y[rows], y)
-            dy *= dy
-            d2 += dy
-            np.less(d2, r2, out=adj[rows])
-        np.fill_diagonal(adj, False)
-        adj.flags.writeable = False
-        self._adj = adj
+        # 2 x _BUILD_ROWS x n values instead of 2 x n x n. A node's distance
+        # to itself is exactly 0 < range, so the diagonal comes out True. A
+        # squared distance too large for a float overflows to inf: out of range.
+        with np.errstate(over="ignore"):
+            for lo in range(0, config.n, _BUILD_ROWS):
+                rows = slice(lo, lo + _BUILD_ROWS)
+                d2 = np.subtract.outer(x[rows], x)
+                d2 *= d2
+                dy = np.subtract.outer(y[rows], y)
+                dy *= dy
+                d2 += dy
+                np.less(d2, r2, out=closed[rows])
+        closed.flags.writeable = False
+        self._closed = closed
         self._reach: dict[int, np.ndarray] = {}
 
     # -- basic accessors ---------------------------------------------------
@@ -153,21 +157,14 @@ class Topology:
         return self._positions
 
     @property
-    def adjacency_matrix(self) -> np.ndarray:
-        """Boolean n x n matrix, symmetric, False on the diagonal. Read-only."""
-        return self._adj
-
-    @cached_property
     def closed_neighborhood_matrix(self) -> np.ndarray:
-        """Adjacency with True on the diagonal (each node covers itself)."""
-        m = self._adj.copy()
-        np.fill_diagonal(m, True)
-        m.flags.writeable = False
-        return m
+        """Boolean n x n matrix, symmetric, True on the diagonal (each node
+        covers itself) and where two nodes are in range. Read-only."""
+        return self._closed
 
     @cached_property
     def degrees(self) -> np.ndarray:
-        d = self._adj.sum(axis=1).astype(np.int64)
+        d = self._closed.sum(axis=1, dtype=np.int64) - 1
         d.flags.writeable = False
         return d
 
@@ -180,13 +177,12 @@ class Topology:
 
     def neighbors(self, v) -> frozenset[int]:
         """Ids of nodes strictly within range of v, excluding v itself."""
-        v = self._check_id(v)
-        return frozenset(int(u) for u in np.flatnonzero(self._adj[v]))
+        return self.closed_neighborhood(v) - {v}
 
     def closed_neighborhood(self, v) -> frozenset[int]:
         """neighbors(v) plus v itself: everything a head at v would cover."""
         v = self._check_id(v)
-        return self.neighbors(v) | {v}
+        return frozenset(int(u) for u in np.flatnonzero(self._closed[v]))
 
     def degree(self, v) -> int:
         v = self._check_id(v)
@@ -266,7 +262,7 @@ def save(t: Topology, path) -> None:
 
 
 def load(path) -> Topology:
-    """Read a topology written by save(); adjacency is recomputed, not stored.
+    """Read a topology written by save(); links are recomputed, not stored.
 
     Positions outside [0, area_side]^2 are accepted with a warning. Node ids
     must be exactly 0..n-1.

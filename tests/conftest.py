@@ -7,6 +7,7 @@ import os
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 import antclust
 from antclust.geomgraph import Topology, TopologyConfig, generate
@@ -15,6 +16,11 @@ from antclust.geomgraph import Topology, TopologyConfig, generate
 # same package these tests import
 _SRC = str(Path(antclust.__file__).resolve().parents[1])
 os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
+
+# property tests draw their examples from a fixed seed and keep no example
+# database, so every run of the suite tries the same examples
+settings.register_profile("antclust", derandomize=True, deadline=None, database=None)
+settings.load_profile("antclust")
 
 
 def make_topology(points, radio_range, area_side=None):

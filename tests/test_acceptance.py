@@ -1,9 +1,9 @@
 """Acceptance suite: one test per release criterion, each printing a verdict line.
 
 The heavy benchmark sweep (5 node counts x 3 ranges x 10 seeds) runs once and
-is shared by the grid-reproduction, monotonicity, node-count independence and
-recorded head-count checks, which are marked ``slow``: ``pytest -m "not slow"``
-leaves them out.
+is shared by the grid-reproduction, monotonicity, node-count independence,
+recorded head-count and classical-comparison checks, which are marked
+``slow``: ``pytest -m "not slow"`` leaves them out.
 """
 
 import csv
@@ -19,7 +19,7 @@ import pytest
 from antclust.aco import AcoParams, selection_probability, solve
 from antclust.baselines import WcaParams, highest_degree, kconid, lowest_id, wca
 from antclust.clustering import is_dominating
-from antclust.experiments import ExperimentSpec, run
+from antclust.experiments import ExperimentSpec, elect, run
 from antclust.geomgraph import TopologyConfig, generate
 from antclust.oracle import exact_min_dominating_set, greedy_min_dominating_set
 
@@ -301,6 +301,40 @@ class TestCriterion8Determinism:
         assert _strip_timing_json(a / "results" / "results.json") == _strip_timing_json(b / "results" / "results.json")
         _verdict(8, "identical flags give identical machine-readable outputs", True,
                  "graph/clustering/aggregates byte-identical; rows identical apart from timing column")
+
+
+CLASSICAL = ("lic", "hd", "kconid", "wca", "greedy")
+
+
+@pytest.mark.slow
+def test_colony_never_uses_more_heads_than_a_classical_scheme(benchmark_sweep):
+    """The paper's comparative claim, instance by instance: on every default
+    topology the colony elects no more heads than lowest id, highest degree,
+    k-CONID (k=1), WCA (default weights) or the greedy reference."""
+    spec, result, _ = benchmark_sweep
+    colony = {(r.n, r.range, r.seed): r.head_count for r in result.ok_rows() if r.algorithm == "aco"}
+    counts = {name: {} for name in CLASSICAL}
+    for n, rg, seed in colony:
+        t = generate(TopologyConfig(n=n, area_side=spec.area_side, range=rg, seed=seed))
+        for name in CLASSICAL:
+            counts[name][(n, rg, seed)] = elect(t, name, spec)[0].head_count
+    print(f"\n  mean heads per cell: aco {' '.join(CLASSICAL)}")
+    for n in spec.node_counts:
+        for rg in spec.ranges:
+            keys = [(n, float(rg), s) for s in spec.seeds]
+            means = [np.mean([table[k] for k in keys]) for table in (colony, *counts.values())]
+            print(f"  n={n:<3} R={rg:g}: " + " ".join(f"{m:5.2f}" for m in means))
+    for rg in spec.ranges:
+        keys = [k for k in colony if k[1] == rg]
+        means = [np.mean([table[k] for k in keys]) for table in (colony, *counts.values())]
+        print(f"  all n, R={rg:g}: " + " ".join(f"{m:5.2f}" for m in means))
+    wins = {name: [k for k in colony if table[k] < colony[k]] for name, table in counts.items()}
+    lost = {name: len(w) for name, w in wins.items() if w}
+    ties = {name: sum(table[k] == colony[k] for k in colony) for name, table in counts.items()}
+    _verdict("C", "colony uses no more heads than any classical scheme", not lost,
+             f"{len(colony)} instances, ties {ties}")
+    cells = sorted({k[:2] for w in wins.values() for k in w})
+    assert not lost, f"instances where a classical scheme used fewer heads: {lost}, in (n, R) cells {cells}"
 
 
 @pytest.mark.slow

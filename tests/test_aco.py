@@ -236,6 +236,18 @@ class TestConstruct:
         with pytest.raises(ConfigurationError, match="pheromone"):
             construct_solution(path4, np.array(ph), AcoParams(), 0, rng_for())
 
+    @pytest.mark.parametrize("kwargs", [{"alpha": 1e308}, {"beta": 1e308}, {"alpha": 1e-320}])
+    def test_scores_outside_float_range_rejected(self, kwargs):
+        # n * (alpha * n + beta * max(pheromone)) bounds the roulette total
+        # from above and alpha from below; past either end a pick could land
+        # outside the candidate list
+        t = random_topology(60, 1000, 200, seed=0)
+        ph, params = np.ones(t.n), AcoParams(**kwargs)
+        with pytest.raises(ConfigurationError, match="float range"):
+            construct_solution(t, ph, params, 0, rng_for(1))
+        with pytest.raises(ConfigurationError, match="float range"):
+            selection_probability(t, ph, params, range(t.n))
+
     def test_contains_start(self):
         t = random_topology(25, 120, 40, seed=9)
         for start in range(0, t.n, 5):

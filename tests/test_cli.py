@@ -142,6 +142,14 @@ class TestSolve:
         assert r.stderr.startswith("error:")
         assert "Traceback" not in r.stderr
 
+    @pytest.mark.parametrize("flag", ["--alpha", "--beta"])
+    def test_scores_outside_float_range_exit_2(self, path4_file, flag):
+        # --beta overflows only once pheromone is deposited, after iteration 0
+        r = cli("solve", "--graph", path4_file, "--algorithm", "aco", flag, "1e308", "--iterations", 5)
+        assert r.returncode == 2
+        assert r.stderr.startswith("error:") and "float range" in r.stderr
+        assert "Traceback" not in r.stderr and "Warning" not in r.stderr
+
     def test_malformed_graph_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("not a graph")

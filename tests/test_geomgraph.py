@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,6 +42,13 @@ class TestConfig:
     def test_invalid_range(self):
         with pytest.raises(ConfigurationError, match="range"):
             TopologyConfig(n=3, range=-1).validate()
+
+    def test_range_whose_square_underflows_rejected(self):
+        # the build compares squared distances with range², and a node's own
+        # distance 0 must stay in range
+        with pytest.raises(ConfigurationError, match="range"):
+            TopologyConfig(n=3, range=1e-170)
+        assert Topology(TopologyConfig(n=2, range=1e-150, seed=None), [(0, 0), (0, 0)]).degree(0) == 1
 
     @pytest.mark.parametrize("field", ["n", "area_side", "range", "seed"])
     def test_bool_rejected(self, field):
@@ -199,22 +207,22 @@ class TestAdjacencyProperties:
         rr = t.config.range
         for u in range(t.n):
             for v in range(t.n):
-                expected = u != v and math.dist(t.positions[u], t.positions[v]) < rr
-                assert bool(t.adjacency_matrix[u, v]) == expected
+                expected = u == v or math.dist(t.positions[u], t.positions[v]) < rr
+                assert bool(t.closed_neighborhood_matrix[u, v]) == expected
 
     def test_matches_bruteforce_distances_across_row_blocks(self):
         # the build computes 256 rows at a time: 600 nodes make three
         # blocks, the last one partial
         t = random_topology(600, 1000, 90, seed=5)
         pos = t.positions
-        expected = [[u != v and math.dist(pos[u], pos[v]) < 90 for v in range(t.n)] for u in range(t.n)]
-        assert np.array_equal(t.adjacency_matrix, np.array(expected))
+        expected = [[u == v or math.dist(pos[u], pos[v]) < 90 for v in range(t.n)] for u in range(t.n)]
+        assert np.array_equal(t.closed_neighborhood_matrix, np.array(expected))
 
-    def test_symmetric_irreflexive(self):
+    def test_symmetric_reflexive(self):
         t = random_topology(80, 300, 60, seed=11)
-        m = t.adjacency_matrix
+        m = t.closed_neighborhood_matrix
         assert (m == m.T).all()
-        assert not m.diagonal().any()
+        assert m.diagonal().all()
 
     def test_closed_neighborhoods_cover_everything(self):
         t = random_topology(50, 300, 50, seed=2)
@@ -226,9 +234,25 @@ class TestAdjacencyProperties:
     def test_matrices_read_only(self):
         t = path_topology(3)
         with pytest.raises(ValueError):
-            t.adjacency_matrix[0, 1] = True
+            t.closed_neighborhood_matrix[0, 2] = True
         with pytest.raises(ValueError):
             t.closed_neighborhood_matrix[0, 0] = False
+
+
+class TestMemory:
+    def test_one_n_by_n_matrix_held(self):
+        # the closed-neighbourhood matrix is the only n x n array a topology
+        # keeps: n² bytes, plus n int64 degrees
+        n = 1000
+        tracemalloc.start()
+        try:
+            t = generate(TopologyConfig(n=n, area_side=1000, range=100, seed=0))
+            t.closed_neighborhood_matrix, t.degrees, t.reach(1)
+            snapshot = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        held = snapshot.filter_traces([tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
+        assert sum(s.size for s in held.statistics("filename")) <= 1.05 * n * n
 
 
 class TestSaveLoad:
@@ -240,7 +264,7 @@ class TestSaveLoad:
         assert back.positions == t.positions
         assert back.config.range == t.config.range
         assert back.config.area_side == t.config.area_side
-        assert (back.adjacency_matrix == t.adjacency_matrix).all()
+        assert (back.closed_neighborhood_matrix == t.closed_neighborhood_matrix).all()
         assert back == t
 
     def test_duplicate_id_rejected(self, tmp_path):
@@ -314,7 +338,7 @@ class TestSaveLoad:
         save(t, p)
         back = load(p)
         assert back == t
-        assert (back.adjacency_matrix == t.adjacency_matrix).all()
+        assert (back.closed_neighborhood_matrix == t.closed_neighborhood_matrix).all()
 
     def test_not_json(self, tmp_path):
         p = tmp_path / "junk.json"
