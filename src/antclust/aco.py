@@ -31,7 +31,7 @@ from .geomgraph import Topology, _is_finite, _is_int
 class AcoParams:
     """Tunables for the ant-colony solver.
 
-    alpha (> 0) scales the coverage gain, beta (>= 0) scales the pheromone
+    alpha (>= 2**-1021) scales the coverage gain, beta (>= 0) scales the pheromone
     concentration; every ant picks each next head by roulette-wheel
     sampling over those scores. ``iterations`` defaults to the node count
     when None. Valid by construction: ``validate`` runs when it is built.
@@ -52,8 +52,11 @@ class AcoParams:
             value = getattr(self, name)
             if not _is_finite(value):
                 raise ConfigurationError(f"{name} must be a finite number, got {value!r}")
-        if self.alpha <= 0 or self.beta < 0:
-            raise ConfigurationError(f"alpha must be > 0 and beta >= 0, got alpha={self.alpha}, beta={self.beta}")
+        # a roulette total is at least alpha (one candidate newly covering one node); a draw
+        # u * total with u in [0, 1) stays below it, inside the candidate list, only from 2**-1021 up
+        if self.alpha < 2.0 ** -1021 or self.beta < 0:
+            raise ConfigurationError(f"alpha must be >= 2**-1021 (about 4.5e-308) and beta >= 0, "
+                                     f"got alpha={self.alpha}, beta={self.beta}")
         if not _is_int(self.ants) or self.ants < 1:
             raise ConfigurationError(f"ants must be an integer >= 1, got {self.ants!r}")
         if not 0 <= self.evaporation_rate < 1:
@@ -83,12 +86,12 @@ def _checked_pheromone(ph: np.ndarray, n: int | None = None) -> np.ndarray:
 
 
 def _check_roulette_total(n: int, ph: np.ndarray, params: AcoParams) -> None:
-    """The roulette total lies between alpha (one candidate newly covering one
-    node) and n * (alpha * n + beta * max(pheromone)). A pick draws u * total
-    with u in [0, 1), which stays below the total, so inside the candidate
-    list, only while the total is finite and no smaller than 2**-1021."""
+    """The roulette total is at most n * (alpha * n + beta * max(pheromone)).
+    A pick draws u * total with u in [0, 1), which stays below the total, so
+    inside the candidate list, only while the total is finite; AcoParams
+    bounds it from below."""
     top = float(ph.max())
-    if not (math.isfinite(n * (params.alpha * n + params.beta * top)) and params.alpha >= 2.0 ** -1021):
+    if not math.isfinite(n * (params.alpha * n + params.beta * top)):
         raise ConfigurationError(f"alpha={params.alpha!r}, beta={params.beta!r} and pheromone up to {top!r} "
                                  f"put the {n}-node selection scores outside the float range")
 

@@ -24,7 +24,8 @@ EXIT_REFUSED = 3
 ALGORITHM_CHOICES = experiments.ALGORITHMS
 
 
-def _add_aco_flags(p: argparse.ArgumentParser) -> None:
+def _add_solver_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--k", type=int, default=1, help="hop radius for kconid (default %(default)s)")
     d = aco.AcoParams()
     p.add_argument("--alpha", type=float, default=d.alpha, help="coverage-gain multiplier, > 0 (default %(default)s)")
     p.add_argument("--beta", type=float, default=d.beta, help="pheromone multiplier (default %(default)s)")
@@ -34,15 +35,12 @@ def _add_aco_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--iterations", type=int, default=d.iterations,
                    help="iteration count (default: the node count)")
     p.add_argument("--seed", type=int, default=d.seed, help="solver RNG seed (default %(default)s)")
-
-
-def _add_wca_flags(p: argparse.ArgumentParser) -> None:
-    d = baselines.WcaParams()
-    p.add_argument("--w1", type=float, default=d.w1, help="degree-deviation weight (default %(default)s)")
-    p.add_argument("--w2", type=float, default=d.w2, help="neighbor-distance weight (default %(default)s)")
-    p.add_argument("--w3", type=float, default=d.w3, help="mobility weight (default %(default)s)")
-    p.add_argument("--w4", type=float, default=d.w4, help="head-tenure weight (default %(default)s)")
-    p.add_argument("--ideal-degree", type=float, default=d.ideal_degree,
+    w = baselines.WcaParams()
+    p.add_argument("--w1", type=float, default=w.w1, help="degree-deviation weight (default %(default)s)")
+    p.add_argument("--w2", type=float, default=w.w2, help="neighbor-distance weight (default %(default)s)")
+    p.add_argument("--w3", type=float, default=w.w3, help="mobility weight (default %(default)s)")
+    p.add_argument("--w4", type=float, default=w.w4, help="head-tenure weight (default %(default)s)")
+    p.add_argument("--ideal-degree", type=float, default=w.ideal_degree,
                    help="target head degree (default %(default)s)")
 
 
@@ -120,20 +118,16 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     experiments.export_json(result, json_path)
 
     failed = [r for r in result.rows if not r.ok]
-    aggs = result.aggregates()
-    for algorithm in sorted({a.algorithm for a in aggs}):
+    means = {(a.algorithm, a.n, a.range): a.mean for a in result.aggregates()}
+    for algorithm in sorted({a for a, _, _ in means}):
         print(f"{algorithm}: mean head count by (nodes x range)")
-        ranges = sorted({a.range for a in aggs if a.algorithm == algorithm})
-        header = "  nodes " + "".join(f"{f'R={rg:g}':>10}" for rg in ranges)
-        print(header)
-        for n in sorted({a.n for a in aggs if a.algorithm == algorithm}):
-            cells = []
-            for rg in ranges:
-                try:
-                    cells.append(f"{result.mean_heads(algorithm, n, rg):>10.2f}")
-                except KeyError:
-                    cells.append(f"{'-':>10}")
-            print(f"  {n:>5} " + "".join(cells))
+        ranges = sorted({rg for a, _, rg in means if a == algorithm})
+        header = [f"R={experiments.format_range(rg)}" for rg in ranges]
+        width = max(10, *(len(h) + 1 for h in header))  # a space between columns at any range length
+        print("  nodes " + "".join(f"{h:>{width}}" for h in header))
+        for n in sorted({n for a, n, _ in means if a == algorithm}):
+            cells = (means.get((algorithm, n, rg)) for rg in ranges)
+            print(f"  {n:>5} " + "".join(f"{'-' if m is None else f'{m:.2f}':>{width}}" for m in cells))
     if failed:
         print(f"{len(failed)} row(s) failed; see {json_path}")
     print(f"wrote {rows_path}, {agg_path}, {json_path}")
@@ -159,9 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True, help="input graph JSON path")
     p.add_argument("--algorithm", required=True, choices=ALGORITHM_CHOICES)
     p.add_argument("--out", default=None, help="output clustering JSON path")
-    p.add_argument("--k", type=int, default=1, help="hop radius for kconid (default %(default)s)")
-    _add_aco_flags(p)
-    _add_wca_flags(p)
+    _add_solver_flags(p)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("verify", help="check a clustering file against a graph file")
@@ -173,9 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--algorithms", default="aco,lic,hd,kconid,wca,greedy",
                    help="comma-separated solver names (default %(default)s)")
-    p.add_argument("--k", type=int, default=1, help="hop radius for kconid (default %(default)s)")
-    _add_aco_flags(p)
-    _add_wca_flags(p)
+    _add_solver_flags(p)
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("experiment", help="run a benchmark sweep and write row + aggregate files")

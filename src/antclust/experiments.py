@@ -11,7 +11,8 @@ from typing import Callable
 from . import aco, baselines, oracle
 from .clustering import Clustering, assign_members, is_dominating
 from .errors import ConfigurationError, ValidityError
-from .geomgraph import Topology, TopologyConfig, _id_key, _is_finite, _is_int, _read_json_object, _write_json, generate
+from .geomgraph import (Topology, TopologyConfig, _id_key, _is_finite, _is_int, _is_range, _read_json_object,
+                        _write_json, generate)
 
 
 def _aco(t: Topology, spec: ExperimentSpec) -> tuple[Clustering, int]:
@@ -55,14 +56,18 @@ class ExperimentSpec:
 
     def __post_init__(self) -> None:
         for name in ("node_counts", "ranges", "seeds", "algorithms"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
+            values = getattr(self, name)
+            if isinstance(values, str):  # tuple("hd") would read as ("h", "d")
+                raise ConfigurationError(f"{name} must be a list, not a string, got {values!r}")
+            object.__setattr__(self, name, tuple(values))
         self.validate()
 
     def validate(self) -> None:
         if not self.node_counts or any(not _is_int(n) or n < 1 for n in self.node_counts):
             raise ConfigurationError(f"node_counts must be a non-empty list of integers >= 1, got {self.node_counts!r}")
-        if not self.ranges or any(not (_is_finite(r) and r > 0) for r in self.ranges):
-            raise ConfigurationError(f"ranges must be a non-empty list of finite positive numbers, got {self.ranges!r}")
+        if not self.ranges or not all(map(_is_range, self.ranges)):
+            raise ConfigurationError(f"ranges must be a non-empty list of finite positive numbers with nonzero "
+                                     f"squares, got {self.ranges!r}")
         if not (_is_finite(self.area_side) and self.area_side > 0):
             raise ConfigurationError(f"area_side must be a finite positive number, got {self.area_side!r}")
         if not self.seeds or any(not _is_int(s) or s < 0 for s in self.seeds):
@@ -167,16 +172,11 @@ def run(spec: ExperimentSpec) -> ExperimentResult:
                     t0 = time.perf_counter()
                     try:
                         c, iterations = elect(t, algorithm, seeded)
-                        elapsed_ms = (time.perf_counter() - t0) * 1000.0
-                        rows.append(
-                            RunRow(algorithm, n, float(rng), seed, c.head_count, iterations, elapsed_ms)
-                        )
+                        head_count, ok, error = c.head_count, True, ""
                     except Exception as exc:  # noqa: BLE001 - failed rows are data, not crashes
-                        elapsed_ms = (time.perf_counter() - t0) * 1000.0
-                        rows.append(
-                            RunRow(algorithm, n, float(rng), seed, 0, 0, elapsed_ms, ok=False,
-                                   error=f"{type(exc).__name__}: {exc}")
-                        )
+                        head_count, iterations, ok, error = 0, 0, False, f"{type(exc).__name__}: {exc}"
+                    elapsed_ms = (time.perf_counter() - t0) * 1000.0
+                    rows.append(RunRow(algorithm, n, float(rng), seed, head_count, iterations, elapsed_ms, ok, error))
     rows.sort(key=lambda r: r.key)
     return ExperimentResult(rows=rows)
 
@@ -185,6 +185,12 @@ def run(spec: ExperimentSpec) -> ExperimentResult:
 
 ROW_COLUMNS = ("algorithm", "n", "range", "seed", "head_count", "wall_time_ms")
 AGG_COLUMNS = ("algorithm", "n", "range", "mean", "min", "max")
+
+
+def format_range(r: float) -> str:
+    """A range as CSV and table text: the shortest text that reads back as
+    the same float, without a trailing ".0" (200.0 -> "200")."""
+    return repr(float(r)).removesuffix(".0")
 
 
 def _write_csv(path, columns, lines: list[str]) -> None:
@@ -198,14 +204,14 @@ def _write_csv(path, columns, lines: list[str]) -> None:
 def export_rows_csv(result: ExperimentResult, path) -> None:
     """Per-run CSV; failed rows are omitted (they live in the JSON export)."""
     _write_csv(path, ROW_COLUMNS, [
-        f"{r.algorithm},{r.n},{r.range:g},{r.seed},{r.head_count},{r.wall_time_ms:.3f}"
+        f"{r.algorithm},{r.n},{format_range(r.range)},{r.seed},{r.head_count},{r.wall_time_ms:.3f}"
         for r in sorted(result.ok_rows(), key=lambda r: r.key)
     ])
 
 
 def export_aggregates_csv(result: ExperimentResult, path) -> None:
     _write_csv(path, AGG_COLUMNS, [
-        f"{a.algorithm},{a.n},{a.range:g},{a.mean!r},{a.min},{a.max}" for a in result.aggregates()
+        f"{a.algorithm},{a.n},{format_range(a.range)},{a.mean!r},{a.min},{a.max}" for a in result.aggregates()
     ])
 
 

@@ -39,6 +39,12 @@ def _is_finite(x) -> bool:
         return False
 
 
+def _is_range(x) -> bool:
+    """A finite positive number with a nonzero square: a range whose square
+    underflows to 0 would leave each node out of its own range."""
+    return _is_finite(x) and x > 0 and float(x) * float(x) > 0
+
+
 def _id_key(s: str) -> int:
     """A node id from a JSON object key spelled as ``str`` spells it: "7",
     not " 7", "+7" or "0_7"; ValueError otherwise."""
@@ -98,8 +104,7 @@ class TopologyConfig:
             raise ConfigurationError(f"n must be an integer >= 1, got {self.n!r}")
         if not (_is_finite(self.area_side) and self.area_side > 0):
             raise ConfigurationError(f"area_side must be a finite positive number, got {self.area_side!r}")
-        # a range whose square underflows to 0 would leave each node out of its own range
-        if not (_is_finite(self.range) and self.range > 0 and self.range * self.range > 0):
+        if not _is_range(self.range):
             raise ConfigurationError(f"range must be a finite positive number with a nonzero square, got {self.range!r}")
         if self.seed is not None and (not _is_int(self.seed) or self.seed < 0):
             raise ConfigurationError(f"seed must be a non-negative integer or None, got {self.seed!r}")

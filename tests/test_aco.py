@@ -41,7 +41,7 @@ class TestParams:
     @pytest.mark.parametrize("kwargs", [
         {"alpha": -1}, {"beta": -0.5}, {"alpha": 0, "beta": 0}, {"ants": 0},
         {"evaporation_rate": 1.0}, {"evaporation_rate": -0.1}, {"beta": float("inf")},
-        {"iterations": 0}, {"seed": -3}, {"alpha": 10**400}, {"alpha": 0},
+        {"iterations": 0}, {"seed": -3}, {"alpha": 10**400}, {"alpha": 0}, {"alpha": 1e-320},
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ConfigurationError):
@@ -236,11 +236,10 @@ class TestConstruct:
         with pytest.raises(ConfigurationError, match="pheromone"):
             construct_solution(path4, np.array(ph), AcoParams(), 0, rng_for())
 
-    @pytest.mark.parametrize("kwargs", [{"alpha": 1e308}, {"beta": 1e308}, {"alpha": 1e-320}])
+    @pytest.mark.parametrize("kwargs", [{"alpha": 1e308}, {"beta": 1e308}])
     def test_scores_outside_float_range_rejected(self, kwargs):
         # n * (alpha * n + beta * max(pheromone)) bounds the roulette total
-        # from above and alpha from below; past either end a pick could land
-        # outside the candidate list
+        # from above; past it a pick could land outside the candidate list
         t = random_topology(60, 1000, 200, seed=0)
         ph, params = np.ones(t.n), AcoParams(**kwargs)
         with pytest.raises(ConfigurationError, match="float range"):

@@ -4,8 +4,9 @@ import sys
 
 import pytest
 
-from antclust import cli as cli_module, oracle
+from antclust import baselines, cli as cli_module, oracle
 from antclust.aco import AcoParams
+from antclust.baselines import WcaParams, highest_degree
 from antclust.clustering import load_clustering
 from antclust.experiments import ALGORITHMS, ExperimentSpec, run
 from antclust.geomgraph import save
@@ -133,6 +134,7 @@ class TestSolve:
         ("lic", ["--alpha", "nan"]),
         ("aco", ["--k", "0"]),
         ("aco", ["--alpha", "0"]),
+        ("aco", ["--alpha", "1e-320"]),
     ])
     def test_invalid_setting_exit_2_whatever_the_algorithm(self, path4_file, algorithm, flags):
         # every setting is checked when the CLI builds it, not only by the
@@ -189,6 +191,24 @@ class TestVerify:
         assert r.returncode == 2
 
 
+SOLVER_FLAGS = ["--k", "2", "--alpha", "3", "--beta", "0.5", "--ants", "4", "--evaporation-rate", "0.2",
+                "--iterations", "7", "--seed", "5", "--w1", "0.4", "--w2", "0.4", "--w3", "0.1", "--w4", "0.1",
+                "--ideal-degree", "6"]
+
+
+@pytest.mark.parametrize("flags, expected", [
+    ([], (AcoParams(), WcaParams(), 1)),
+    (SOLVER_FLAGS, (AcoParams(alpha=3.0, beta=0.5, ants=4, evaporation_rate=0.2, iterations=7, seed=5),
+                    WcaParams(w1=0.4, w2=0.4, w3=0.1, w4=0.1, ideal_degree=6.0), 2)),
+], ids=["defaults", "all-set"])
+def test_solve_and_compare_build_the_same_solver_settings(flags, expected):
+    parser = cli_module.build_parser()
+    solve = parser.parse_args(["solve", "--graph", "g.json", "--algorithm", "aco", *flags])
+    compare = parser.parse_args(["compare", "--graph", "g.json", *flags])
+    a, b = cli_module._spec(solve, ["aco"]), cli_module._spec(compare, ["aco"])
+    assert (a.aco, a.wca, a.kconid_k) == (b.aco, b.wca, b.kconid_k) == expected
+
+
 class TestCompare:
     def test_star_all_algorithms_one_head(self, star_file):
         r = cli("compare", "--graph", star_file,
@@ -236,6 +256,38 @@ class TestExperiment:
         assert (out / "results.json").exists()
         assert "mean head count" in r.stdout
 
+    def test_every_range_prints_exactly(self, tmp_path):
+        # ranges that six significant digits would merge (200.0001, 200.0002) or round (1234567)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"node_counts": [6], "ranges": [200.0001, 200.0002, 1234567], "area_side": 100,
+                                    "seeds": [0], "algorithms": ["hd"]}))
+        out = tmp_path / "results"
+        r = cli("experiment", "--spec", spec, "--out", out)
+        assert r.returncode == 0, r.stderr
+        expected = ["1234567", "200.0001", "200.0002"]
+        for name in ("rows.csv", "aggregates.csv"):
+            lines = (out / name).read_text().splitlines()[1:]
+            assert sorted(line.split(",")[2] for line in lines) == expected, name
+        header = next(line for line in r.stdout.splitlines() if line.startswith("  nodes"))
+        assert header.split()[1:] == ["R=200.0001", "R=200.0002", "R=1234567"]
+
+    def test_cell_whose_runs_all_failed_prints_a_dash(self, tmp_path, monkeypatch, capsys):
+        def fails_at_n8_r100(t):
+            if (t.n, t.config.range) == (8, 100.0):
+                raise RuntimeError("boom")
+            return highest_degree(t)
+
+        monkeypatch.setattr(baselines, "highest_degree", fails_at_n8_r100)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"node_counts": [6, 8], "ranges": [60, 100], "area_side": 100, "seeds": [0, 1],
+                                    "algorithms": ["hd"]}))
+        assert cli_module.main(["experiment", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 0
+        table = capsys.readouterr().out.splitlines()
+        assert table[1] == "  nodes " + f"{'R=60':>10}{'R=100':>10}"
+        assert table[2].split()[0] == "6" and "-" not in table[2]
+        assert table[3].startswith("      8 ") and table[3].endswith(f"{'-':>10}") and "-" not in table[3][:-10]
+        assert table[4] == f"2 row(s) failed; see {tmp_path / 'o' / 'results.json'}"
+
     def test_invalid_spec_exit_2(self, tmp_path):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"seeds": []}))
@@ -281,6 +333,8 @@ class TestExperiment:
         {"seeds": [0, 0]},
         {"ranges": [60, 60.0]},
         {"aco": {"seed": 9}},
+        {"ranges": [1e-170]},
+        {"algorithms": "hd"},
     ])
     def test_hostile_spec_exit_2_without_traceback(self, tmp_path, doc):
         # a tiny grid underneath, so a spec accepted by mistake fails fast

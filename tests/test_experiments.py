@@ -65,9 +65,19 @@ class TestSpecValidation:
     @pytest.mark.parametrize("overrides", [
         {"seeds": (-1,)}, {"seeds": (1.5,)}, {"ranges": (float("inf"),)}, {"area_side": float("nan")},
         {"kconid_k": True}, {"kconid_k": 0}, {"aco": {"ants": 2}}, {"area_side": 10**400}, {"ranges": (10**400,)},
+        {"ranges": (1e-170,)},
     ])
     def test_rejected_when_built(self, overrides):
         with pytest.raises(ConfigurationError):
+            tiny_spec(**overrides)
+
+    @pytest.mark.parametrize("overrides", [
+        {"node_counts": "12"}, {"ranges": "9"}, {"seeds": "0"}, {"algorithms": "hd"},
+    ])
+    def test_bare_string_rejected(self, overrides):
+        # tuple("hd") would read as ("h", "d")
+        field_name = next(iter(overrides))
+        with pytest.raises(ConfigurationError, match=f"{field_name} must be a list, not a string"):
             tiny_spec(**overrides)
 
     def test_defaults_are_the_benchmark_grid(self):
