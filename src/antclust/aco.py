@@ -13,6 +13,12 @@ iteration the iteration's best set is improved by a deterministic 2-for-1
 local search (replace two heads by one node while the set still dominates),
 then it deposits pheromone on its heads; pheromone evaporates at a fixed
 rate. The smallest head set seen anywhere is returned.
+
+The search stops early once its best set is certified optimal: no larger
+than ``oracle.packing_lower_bound``, which no dominating set can undercut.
+The best set is replaced only by a strictly smaller one, so the stop
+changes neither the answer nor the iteration that found it; it only
+shortens the history.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import oracle
 from .errors import ConfigurationError
 from .geomgraph import Topology, _is_finite, _is_int
 
@@ -33,8 +40,9 @@ class AcoParams:
 
     alpha (>= 2**-1021) scales the coverage gain, beta (>= 0) scales the pheromone
     concentration; every ant picks each next head by roulette-wheel
-    sampling over those scores. ``iterations`` defaults to the node count
-    when None. Valid by construction: ``validate`` runs when it is built.
+    sampling over those scores. ``iterations`` is the most iterations a
+    solve runs (it stops sooner at a certified optimum) and defaults to the
+    node count when None. Valid by construction: ``validate`` runs when it is built.
     """
 
     alpha: float = 9.0
@@ -233,9 +241,15 @@ def solve(t: Topology, params: AcoParams | None = None) -> AcoSolution:
     best: it is what ``head_count_history`` records, what deposits
     pheromone, and what competes for the overall best (earliest on ties),
     which is the answer.
+
+    The search runs at most ``iterations`` iterations, and it returns right
+    after the iteration whose best set has no more heads than
+    ``oracle.packing_lower_bound(t)``: that set is optimal, so no later
+    iteration could replace it.
     """
     params = params if params is not None else AcoParams()
     iterations = params.iterations if params.iterations is not None else t.n
+    bound = oracle.packing_lower_bound(t)
 
     ph = np.zeros(t.n)
     best: set[int] | None = None
@@ -250,5 +264,7 @@ def solve(t: Topology, params: AcoParams | None = None) -> AcoSolution:
         if best is None or len(iteration_best) < len(best):
             best = iteration_best
             best_iteration = iteration
+            if len(best) <= bound:
+                break
         ph = update_pheromone(ph, iteration_best, params)
     return AcoSolution(heads=frozenset(best), iteration_found=best_iteration, head_count_history=history)

@@ -27,13 +27,15 @@ ALGORITHM_CHOICES = experiments.ALGORITHMS
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=int, default=1, help="hop radius for kconid (default %(default)s)")
     d = aco.AcoParams()
-    p.add_argument("--alpha", type=float, default=d.alpha, help="coverage-gain multiplier, > 0 (default %(default)s)")
+    p.add_argument("--alpha", type=float, default=d.alpha,
+                   help="coverage-gain multiplier, >= 2**-1021 (default %(default)s)")
     p.add_argument("--beta", type=float, default=d.beta, help="pheromone multiplier (default %(default)s)")
     p.add_argument("--ants", type=int, default=d.ants, help="constructions per iteration (default %(default)s)")
     p.add_argument("--evaporation-rate", type=float, default=d.evaporation_rate,
                    help="pheromone decay per iteration, in [0,1) (default %(default)s)")
     p.add_argument("--iterations", type=int, default=d.iterations,
-                   help="iteration count (default: the node count)")
+                   help="most iterations to run; a run stops sooner once its heads match "
+                        "a proven lower bound (default: the node count)")
     p.add_argument("--seed", type=int, default=d.seed, help="solver RNG seed (default %(default)s)")
     w = baselines.WcaParams()
     p.add_argument("--w1", type=float, default=w.w1, help="degree-deviation weight (default %(default)s)")

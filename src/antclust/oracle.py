@@ -1,8 +1,10 @@
-"""Ground-truth head-set solvers: an exact MILP oracle and a greedy reference.
+"""Ground-truth head-set solvers: an exact MILP oracle, a greedy reference
+and a lower bound.
 
 The exact oracle solves the binary covering program min 1·x subject to
 closed_neighborhood_matrix · x >= 1 with HiGHS, and returns a result only
 when HiGHS proves it optimal within a fixed branch-and-bound node budget.
+The lower bound is a greedy 2-packing and needs numpy only.
 """
 
 from __future__ import annotations
@@ -66,3 +68,21 @@ def greedy_min_dominating_set(t: Topology) -> set[int]:
         covered[newly] = True
         gains -= closed[np.flatnonzero(newly)].sum(axis=0)
     return set(heads)
+
+
+def packing_lower_bound(t: Topology) -> int:
+    """Size of a greedy 2-packing: a lower bound on every dominating set.
+
+    Nodes are visited by ascending degree (ties to the lower id); a node is
+    taken unless an earlier pick lies within 2 hops of it. The picks'
+    closed neighbourhoods are pairwise disjoint, so each needs a head of
+    its own, and no dominating set has fewer heads than there are picks.
+    """
+    closed = t.closed_neighborhood_matrix
+    near_pick = np.zeros(t.n, dtype=bool)
+    picks = 0
+    for v in np.argsort(t.degrees, kind="stable"):
+        if not near_pick[v]:
+            picks += 1
+            near_pick |= closed[closed[v]].any(axis=0)
+    return picks

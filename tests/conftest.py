@@ -64,6 +64,14 @@ def hub_topology(leaves=7):
     return make_topology(pts, 1.0)
 
 
+def cycle_topology(n):
+    """0 - 1 - ... - (n-1) - 0 on a circle of radius 1: the range lies between
+    the side and the next chord, so only neighbours on the cycle are linked."""
+    assert n >= 4
+    pts = [(1.0 + math.cos(2 * math.pi * i / n), 1.0 + math.sin(2 * math.pi * i / n)) for i in range(n)]
+    return make_topology(pts, math.sin(math.pi / n) + math.sin(2 * math.pi / n))
+
+
 def complete_topology(n):
     pts = [(0.01 * i, 0.0) for i in range(n)]
     return make_topology(pts, 10.0)

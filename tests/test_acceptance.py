@@ -243,8 +243,8 @@ def test_criterion_7_construction_time_scaling():
         for seed in range(5):
             t = generate(TopologyConfig(n=n, area_side=1000.0, range=200.0, seed=seed))
             t0 = time.perf_counter()
-            solve(t, AcoParams(seed=seed))
-            samples.append((time.perf_counter() - t0) / n)
+            sol = solve(t, AcoParams(seed=seed))
+            samples.append((time.perf_counter() - t0) / len(sol.head_count_history))
         per_iteration[n] = sum(samples) / len(samples)
     ratio = per_iteration[400] / per_iteration[100]
     _verdict(7, "per-iteration time scales about quadratically", ratio < 20,

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from antclust import oracle
 from antclust.aco import (
     AcoParams,
     construct_solution,
@@ -379,14 +380,16 @@ class TestSolve:
     def test_history_and_iteration_found(self):
         t = random_topology(20, 100, 35, seed=6)
         sol = solve(t, AcoParams(seed=3))
-        assert len(sol.head_count_history) == t.n
-        assert 0 <= sol.iteration_found < t.n
+        # every iteration runs, or the run stops at a certified optimum
+        assert len(sol.head_count_history) == t.n or min(sol.head_count_history) <= oracle.packing_lower_bound(t)
+        assert 0 <= sol.iteration_found < len(sol.head_count_history) <= t.n
         assert min(sol.head_count_history) == len(sol.heads)
 
     def test_iterations_override(self):
         t = random_topology(25, 100, 40, seed=8)
         sol = solve(t, AcoParams(seed=3, iterations=5))
-        assert len(sol.head_count_history) == 5
+        assert len(sol.head_count_history) == 5 or min(sol.head_count_history) <= oracle.packing_lower_bound(t)
+        assert len(sol.head_count_history) <= 5
         assert is_dominating(t, sol.heads)
 
     def test_runtime_scaling(self):
@@ -402,8 +405,9 @@ class TestSolve:
 
 # sha256 of json.dumps([sorted heads, iteration_found, head_count_history])
 # from solve with default settings, the topology seed as the colony seed,
-# n = 80 on the 1000 x 1000 area. Any change to how an ant draws or picks,
-# or to how an iteration's best is chosen, changes these digests.
+# n = 80 on the 1000 x 1000 area, every iteration run (no early stop). Any
+# change to how an ant draws or picks, or to how an iteration's best is
+# chosen, changes these digests.
 GOLDEN_SOLVES = {
     (150.0, 0): "1568530032cbe04f8eecfab4496cef6f55158f274d700d48951aa72341c4a3e9",
     (150.0, 1): "de6177ad34c2713c612339f9be540e1d4f23e7288db848488c20c7ef5408c515",
@@ -414,8 +418,36 @@ GOLDEN_SOLVES = {
 }
 
 
+def never_stop(monkeypatch):
+    # no dominating set has fewer than 0 heads, so the early stop never fires
+    monkeypatch.setattr(oracle, "packing_lower_bound", lambda t: 0)
+
+
 @pytest.mark.parametrize("radio_range, seed", sorted(GOLDEN_SOLVES))
-def test_golden_solves(radio_range, seed):
+def test_golden_solves(radio_range, seed, monkeypatch):
+    never_stop(monkeypatch)
     sol = solve(random_topology(80, 1000, radio_range, seed=seed), AcoParams(seed=seed))
     doc = json.dumps([sorted(sol.heads), sol.iteration_found, sol.head_count_history])
     assert hashlib.sha256(doc.encode()).hexdigest() == GOLDEN_SOLVES[(radio_range, seed)]
+
+
+def test_early_stop_changes_only_the_history_length(monkeypatch):
+    cases = [(random_topology(80, 1000, radio_range, seed=seed), seed) for radio_range, seed in sorted(GOLDEN_SOLVES)]
+    rng = rng_for(31)
+    for _ in range(30):
+        n = int(rng.integers(5, 41))
+        cases.append((random_topology(n, 100, float(rng.uniform(15, 90)), seed=int(rng.integers(1 << 16))),
+                      int(rng.integers(1 << 16))))
+    stopped = []
+    for t, seed in cases:
+        params = AcoParams(seed=seed)
+        early = solve(t, params)
+        with monkeypatch.context() as m:
+            never_stop(m)
+            full = solve(t, params)
+        assert early.heads == full.heads
+        assert early.iteration_found == full.iteration_found
+        assert early.head_count_history == full.head_count_history[:len(early.head_count_history)]
+        stopped.append(len(early.head_count_history) < len(full.head_count_history))
+    # the comparison means something only if the stop fires on some of the cases and not on others
+    assert any(stopped) and not all(stopped)

@@ -11,7 +11,7 @@ from antclust.clustering import load_clustering
 from antclust.experiments import ALGORITHMS, ExperimentSpec, run
 from antclust.geomgraph import save
 
-from conftest import edgeless_topology, path_topology, random_topology, star_topology
+from conftest import cycle_topology, edgeless_topology, path_topology, random_topology, star_topology
 
 
 def cli(*args, cwd=None):
@@ -145,9 +145,15 @@ class TestSolve:
         assert "Traceback" not in r.stderr
 
     @pytest.mark.parametrize("flag", ["--alpha", "--beta"])
-    def test_scores_outside_float_range_exit_2(self, path4_file, flag):
-        # --beta overflows only once pheromone is deposited, after iteration 0
-        r = cli("solve", "--graph", path4_file, "--algorithm", "aco", flag, "1e308", "--iterations", 5)
+    def test_scores_outside_float_range_exit_2(self, path4_file, tmp_path, flag):
+        # --beta overflows only once pheromone is deposited, after iteration 0.
+        # On path4 the colony stops at its certified 2 heads before that, so
+        # --beta runs on a 5-cycle: packing bound 1, optimum 2, no stop
+        graph = path4_file
+        if flag == "--beta":
+            graph = tmp_path / "cycle5.json"
+            save(cycle_topology(5), graph)
+        r = cli("solve", "--graph", graph, "--algorithm", "aco", flag, "1e308", "--iterations", 5)
         assert r.returncode == 2
         assert r.stderr.startswith("error:") and "float range" in r.stderr
         assert "Traceback" not in r.stderr and "Warning" not in r.stderr

@@ -9,11 +9,12 @@ from antclust.baselines import highest_degree, lowest_id, wca
 from antclust import oracle
 from antclust.clustering import is_dominating
 from antclust.errors import NodeLimitError
-from antclust.oracle import OracleResult, exact_min_dominating_set, greedy_min_dominating_set
+from antclust.oracle import OracleResult, exact_min_dominating_set, greedy_min_dominating_set, packing_lower_bound
 
 from conftest import (
     brute_min_dominating_size,
     complete_topology,
+    cycle_topology,
     edgeless_topology,
     greedy_reference,
     path_topology,
@@ -97,6 +98,34 @@ class TestImport:
         code = "import sys, antclust, antclust.cli; assert 'scipy' not in sys.modules, 'scipy imported'"
         r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert r.returncode == 0, r.stderr
+
+    def test_colony_solve_loads_no_scipy(self):
+        # the colony's lower bound is numpy only; scipy would more than double its peak memory
+        code = ("import sys; from antclust import aco, geomgraph; "
+                "t = geomgraph.generate(geomgraph.TopologyConfig(n=30, area_side=300.0, range=120.0, seed=1)); "
+                "aco.solve(t, aco.AcoParams(iterations=3)); assert 'scipy' not in sys.modules, 'scipy imported'")
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr
+
+
+class TestPackingLowerBound:
+    @pytest.mark.parametrize("build, bound, optimum", [
+        (lambda: star_topology(4), 1, 1),
+        (lambda: complete_topology(6), 1, 1),
+        (lambda: path_topology(4), 2, 2),
+        (lambda: edgeless_topology(5), 5, 5),
+        # every node of a 5-cycle is within 2 hops of every other: one pick, two heads needed
+        (lambda: cycle_topology(5), 1, 2),
+    ], ids=["star", "complete", "path4", "edgeless", "cycle5"])
+    def test_small_graphs(self, build, bound, optimum):
+        t = build()
+        assert packing_lower_bound(t) == bound
+        assert brute_min_dominating_size(t) == optimum
+
+    def test_never_above_the_optimum(self):
+        for seed in range(10):
+            t = random_topology(60, 1000, 250, seed=seed)
+            assert 1 <= packing_lower_bound(t) <= exact_min_dominating_set(t).optimum_size
 
 
 class TestGreedy:

@@ -14,6 +14,9 @@ from antclust.clustering import is_dominating, validate_clustering
 from antclust.errors import ConfigurationError
 from antclust.experiments import ALGORITHMS, ExperimentSpec, elect
 from antclust.geomgraph import Topology, TopologyConfig
+from antclust.oracle import packing_lower_bound
+
+from conftest import brute_min_dominating_size
 
 coordinate = st.one_of(st.floats(0.0, 1000.0), st.floats(allow_nan=False, allow_infinity=False))
 any_range = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
@@ -68,3 +71,8 @@ def test_every_solver_dominates_validates_and_repeats(t, k, ants, iterations, se
         assert elect(t, name, spec) == (c, used), name
         if c.hops == 1:
             assert c.head_count >= optimum, name
+
+
+@given(topologies())
+def test_packing_lower_bound_never_exceeds_the_optimum(t):
+    assert 1 <= packing_lower_bound(t) <= brute_min_dominating_size(t)
