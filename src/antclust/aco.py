@@ -15,10 +15,12 @@ then it deposits pheromone on its heads; pheromone evaporates at a fixed
 rate. The smallest head set seen anywhere is returned.
 
 The search stops early once its best set is certified optimal: no larger
-than ``oracle.packing_lower_bound``, which no dominating set can undercut.
-The best set is replaced only by a strictly smaller one, so the stop
-changes neither the answer nor the iteration that found it; it only
-shortens the history.
+than a lower bound that no dominating set can undercut. The bound is
+``oracle.packing_lower_bound`` (a fraction of a millisecond), raised to
+``oracle.lp_lower_bound`` (milliseconds) at the first iteration that
+leaves an uncertified best set unchanged. The best set is replaced only by
+a strictly smaller one, so the stop changes neither the answer nor the
+iteration that found it; it only shortens the history.
 """
 
 from __future__ import annotations
@@ -77,9 +79,14 @@ class AcoParams:
 
 @dataclass(frozen=True)
 class AcoSolution:
+    """The answer, the iteration that found it, each iteration's best count,
+    and the best lower bound the run computed: ``len(heads) - lower_bound``
+    is a certified gap, 0 when the run stopped early."""
+
     heads: frozenset[int]
     iteration_found: int
     head_count_history: list[int]
+    lower_bound: int
 
 
 def _checked_pheromone(ph: np.ndarray, n: int | None = None) -> np.ndarray:
@@ -243,13 +250,17 @@ def solve(t: Topology, params: AcoParams | None = None) -> AcoSolution:
     which is the answer.
 
     The search runs at most ``iterations`` iterations, and it returns right
-    after the iteration whose best set has no more heads than
-    ``oracle.packing_lower_bound(t)``: that set is optimal, so no later
-    iteration could replace it.
+    after the iteration whose best set has no more heads than the lower
+    bound: that set is optimal, so no later iteration could replace it. The
+    bound is ``oracle.packing_lower_bound(t)`` until the first iteration
+    that leaves the best set unchanged; that iteration computes
+    ``oracle.lp_lower_bound(t)`` once, and the bound is the larger of the
+    two from then on.
     """
     params = params if params is not None else AcoParams()
     iterations = params.iterations if params.iterations is not None else t.n
     bound = oracle.packing_lower_bound(t)
+    lp_done = False
 
     ph = np.zeros(t.n)
     best: set[int] | None = None
@@ -264,7 +275,11 @@ def solve(t: Topology, params: AcoParams | None = None) -> AcoSolution:
         if best is None or len(iteration_best) < len(best):
             best = iteration_best
             best_iteration = iteration
-            if len(best) <= bound:
-                break
+        elif not lp_done:
+            bound = max(bound, oracle.lp_lower_bound(t))
+            lp_done = True
+        if len(best) <= bound:
+            break
         ph = update_pheromone(ph, iteration_best, params)
-    return AcoSolution(heads=frozenset(best), iteration_found=best_iteration, head_count_history=history)
+    return AcoSolution(heads=frozenset(best), iteration_found=best_iteration, head_count_history=history,
+                       lower_bound=bound)

@@ -381,16 +381,33 @@ class TestSolve:
         t = random_topology(20, 100, 35, seed=6)
         sol = solve(t, AcoParams(seed=3))
         # every iteration runs, or the run stops at a certified optimum
-        assert len(sol.head_count_history) == t.n or min(sol.head_count_history) <= oracle.packing_lower_bound(t)
+        bound = max(oracle.packing_lower_bound(t), oracle.lp_lower_bound(t))
+        assert len(sol.head_count_history) == t.n or min(sol.head_count_history) <= bound
         assert 0 <= sol.iteration_found < len(sol.head_count_history) <= t.n
         assert min(sol.head_count_history) == len(sol.heads)
 
     def test_iterations_override(self):
         t = random_topology(25, 100, 40, seed=8)
         sol = solve(t, AcoParams(seed=3, iterations=5))
-        assert len(sol.head_count_history) == 5 or min(sol.head_count_history) <= oracle.packing_lower_bound(t)
+        bound = max(oracle.packing_lower_bound(t), oracle.lp_lower_bound(t))
+        assert len(sol.head_count_history) == 5 or min(sol.head_count_history) <= bound
         assert len(sol.head_count_history) <= 5
         assert is_dominating(t, sol.heads)
+
+    def test_lower_bound_is_a_certified_gap(self):
+        rng = rng_for(47)
+        cases = [(random_topology(int(rng.integers(5, 61)), 1000, float(rng.uniform(150, 400)),
+                                  seed=int(rng.integers(1 << 16))), AcoParams(seed=s, iterations=10)) for s in range(20)]
+        # no bound reaches this one's optimum (12, ceiled LP 11): every iteration runs
+        cases.append((random_topology(80, 1000, 200, seed=59), AcoParams(iterations=10)))
+        stopped = []
+        for t, params in cases:
+            sol = solve(t, params)
+            assert sol.lower_bound <= oracle.exact_min_dominating_set(t).optimum_size <= len(sol.heads)
+            stopped.append(len(sol.head_count_history) < params.iterations)
+            if stopped[-1]:
+                assert sol.lower_bound == len(sol.heads)
+        assert any(stopped) and not all(stopped)
 
     def test_runtime_scaling(self):
         params = AcoParams(seed=0)
@@ -421,6 +438,7 @@ GOLDEN_SOLVES = {
 def never_stop(monkeypatch):
     # no dominating set has fewer than 0 heads, so the early stop never fires
     monkeypatch.setattr(oracle, "packing_lower_bound", lambda t: 0)
+    monkeypatch.setattr(oracle, "lp_lower_bound", lambda t: 0)
 
 
 @pytest.mark.parametrize("radio_range, seed", sorted(GOLDEN_SOLVES))
@@ -433,6 +451,8 @@ def test_golden_solves(radio_range, seed, monkeypatch):
 
 def test_early_stop_changes_only_the_history_length(monkeypatch):
     cases = [(random_topology(80, 1000, radio_range, seed=seed), seed) for radio_range, seed in sorted(GOLDEN_SOLVES)]
+    # the optimum is 12 and the ceiled LP 11: no bound certifies it, so this run never stops
+    cases.append((random_topology(80, 1000, 200, seed=59), 59))
     rng = rng_for(31)
     for _ in range(30):
         n = int(rng.integers(5, 41))

@@ -127,7 +127,8 @@ class TestRun:
 
     def test_iterations_used_counts_the_iterations_that_ran(self, monkeypatch):
         def stopped_early(t, params=None):
-            return AcoSolution(heads=frozenset(range(t.n)), iteration_found=0, head_count_history=[t.n] * 3)
+            return AcoSolution(heads=frozenset(range(t.n)), iteration_found=0, head_count_history=[t.n] * 3,
+                               lower_bound=t.n)
 
         monkeypatch.setattr(aco, "solve", stopped_early)
         result = run(tiny_spec(algorithms=("aco",)))

@@ -1,3 +1,4 @@
+import math
 import subprocess
 import sys
 
@@ -9,7 +10,13 @@ from antclust.baselines import highest_degree, lowest_id, wca
 from antclust import oracle
 from antclust.clustering import is_dominating
 from antclust.errors import NodeLimitError
-from antclust.oracle import OracleResult, exact_min_dominating_set, greedy_min_dominating_set, packing_lower_bound
+from antclust.oracle import (
+    OracleResult,
+    exact_min_dominating_set,
+    greedy_min_dominating_set,
+    lp_lower_bound,
+    packing_lower_bound,
+)
 
 from conftest import (
     brute_min_dominating_size,
@@ -100,10 +107,15 @@ class TestImport:
         assert r.returncode == 0, r.stderr
 
     def test_colony_solve_loads_no_scipy(self):
-        # the colony's lower bound is numpy only; scipy would more than double its peak memory
-        code = ("import sys; from antclust import aco, geomgraph; "
-                "t = geomgraph.generate(geomgraph.TopologyConfig(n=30, area_side=300.0, range=120.0, seed=1)); "
-                "aco.solve(t, aco.AcoParams(iterations=3)); assert 'scipy' not in sys.modules, 'scipy imported'")
+        # the colony's lower bounds are numpy only; scipy would more than double its peak memory.
+        # Here iteration 1 leaves the best set unchanged, so the LP bound runs and stops the solve
+        code = ("import sys; from antclust import aco, geomgraph, oracle; "
+                "t = geomgraph.generate(geomgraph.TopologyConfig(n=40, area_side=400.0, range=120.0, seed=0)); "
+                "lp, calls = oracle.lp_lower_bound, []; "
+                "oracle.lp_lower_bound = lambda t: calls.append(t) or lp(t); "
+                "sol = aco.solve(t, aco.AcoParams(iterations=3)); "
+                "assert calls and sol.lower_bound > oracle.packing_lower_bound(t), 'the LP bound did not run'; "
+                "assert 'scipy' not in sys.modules, 'scipy imported'")
         r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert r.returncode == 0, r.stderr
 
@@ -126,6 +138,60 @@ class TestPackingLowerBound:
         for seed in range(10):
             t = random_topology(60, 1000, 250, seed=seed)
             assert 1 <= packing_lower_bound(t) <= exact_min_dominating_set(t).optimum_size
+
+
+def highs_lp_bound(t):
+    """The covering LP's value from HiGHS, ceiled."""
+    from scipy.optimize import linprog
+
+    res = linprog(np.ones(t.n), A_ub=-t.closed_neighborhood_matrix.astype(np.float64), b_ub=-np.ones(t.n),
+                  bounds=(0, None), method="highs")
+    assert res.status == 0, res.message
+    return math.ceil(res.fun - 1e-6)
+
+
+class TestLpLowerBound:
+    @pytest.mark.parametrize("build, bound", [
+        (lambda: star_topology(4), 1),
+        (lambda: complete_topology(6), 1),
+        (lambda: path_topology(4), 2),
+        (lambda: edgeless_topology(5), 5),
+        # y = 1/3 on every node is feasible: 5/3 ceils to the optimum, 2
+        (lambda: cycle_topology(5), 2),
+    ], ids=["star", "complete", "path4", "edgeless", "cycle5"])
+    def test_small_graphs(self, build, bound):
+        assert lp_lower_bound(build()) == bound
+
+    @pytest.mark.parametrize("n, radio_range, seed, bound", [
+        # the benchmark's aco-sparse topologies of --seed 0, and one of the densest default cell
+        (200, 200, 0, 11), (200, 200, 1, 11), (200, 200, 2, 10), (200, 200, 3, 11), (200, 200, 4, 11),
+        (200, 200, 5, 11), (400, 400, 0, 4),
+    ])
+    def test_matches_highs(self, n, radio_range, seed, bound):
+        t = random_topology(n, 1000, radio_range, seed=seed)
+        assert lp_lower_bound(t) == highs_lp_bound(t) == bound
+
+    def test_holds_when_the_simplex_is_cut_short(self, monkeypatch):
+        # any simplex iterate is feasible; the certificate rescales whatever it gets
+        t = random_topology(200, 1000, 200, seed=0)
+        full = lp_lower_bound(t)
+        bounds = []
+        for budget in (0, 10, 50, 100):
+            monkeypatch.setattr(oracle, "PIVOT_BUDGET", budget)
+            bounds.append(lp_lower_bound(t))
+        assert bounds[0] == 0 and bounds == sorted(bounds) and bounds[-1] < full == 11
+
+    def test_holds_when_the_reduction_drops_needed_rows(self, monkeypatch):
+        # without every other constraint the simplex overshoots; the certificate
+        # measures y against the full matrix and scales it back
+        dominated = oracle._dominated
+
+        def drop_odd_rows(sets, by_subset):
+            return dominated(sets, by_subset) if by_subset else np.arange(len(sets)) % 2 == 1
+
+        t = random_topology(200, 1000, 200, seed=0)
+        monkeypatch.setattr(oracle, "_dominated", drop_odd_rows)
+        assert 1 <= lp_lower_bound(t) <= 11
 
 
 class TestGreedy:

@@ -14,7 +14,7 @@ from antclust.clustering import is_dominating, validate_clustering
 from antclust.errors import ConfigurationError
 from antclust.experiments import ALGORITHMS, ExperimentSpec, elect
 from antclust.geomgraph import Topology, TopologyConfig
-from antclust.oracle import packing_lower_bound
+from antclust.oracle import lp_lower_bound, packing_lower_bound
 
 from conftest import brute_min_dominating_size
 
@@ -76,3 +76,8 @@ def test_every_solver_dominates_validates_and_repeats(t, k, ants, iterations, se
 @given(topologies())
 def test_packing_lower_bound_never_exceeds_the_optimum(t):
     assert 1 <= packing_lower_bound(t) <= brute_min_dominating_size(t)
+
+
+@given(topologies())
+def test_lp_lower_bound_lies_between_the_packing_bound_and_the_optimum(t):
+    assert packing_lower_bound(t) <= lp_lower_bound(t) <= brute_min_dominating_size(t)
