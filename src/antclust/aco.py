@@ -167,29 +167,17 @@ def construct_solution(t: Topology, ph: np.ndarray, params: AcoParams, start, rn
     progress and finishes within n additions. Each pick is one roulette draw,
     ``rng.random()``, over the candidates' scores.
     """
-    pick = t._check_id(start)
     ph = _checked_pheromone(ph, t.n)
     _check_roulette_total(t.n, ph, params)
     closed = t.closed_neighborhood_matrix
     ph_scores = params.beta * ph
 
-    # gains[v] = how many currently uncovered nodes v would newly cover,
-    # maintained incrementally: when w becomes covered, every node that
-    # reaches w loses one
-    gains = (t.degrees + 1).astype(np.int64)
-    covered = np.zeros(t.n, dtype=bool)
-    heads: list[int] = []
-    while True:
-        heads.append(pick)
-        newly = closed[pick] & ~covered
-        covered |= newly
-        gains -= closed[newly].sum(axis=0)
-        if covered.all():
-            break
+    def roulette(gains, covered):
         cand = np.flatnonzero(gains > 0)
         cs = np.cumsum(_scores(params, gains, ph_scores, cand))
-        pos = int(np.searchsorted(cs, rng.random() * cs[-1], side="right"))
-        pick = int(cand[pos])
+        return int(cand[np.searchsorted(cs, rng.random() * cs[-1], side="right")])
+
+    heads = t.cover_walk([start], roulette)
 
     # minimalize: drop heads made redundant by later picks (never the forced
     # start), newest first so early structural picks are kept

@@ -90,16 +90,11 @@ def _per_node(t: Topology, name: str, m: Mapping[int, float] | None) -> np.ndarr
 
 
 def _elect(t: Topology, order: Iterable[int], reach: np.ndarray, hops: int = 1) -> Clustering:
-    """Walk the nodes in ``order``; each still-undecided node becomes a head
-    and claims the undecided nodes of its ``reach`` row."""
-    undecided = np.ones(t.n, dtype=bool)
+    """``Topology.claim_walk`` over ``order`` with ``reach`` rows as balls:
+    each node still unclaimed at its turn becomes a head of what it claims."""
     heads: list[int] = []
     assignment: dict[int, int] = {}
-    for h in order:
-        if not undecided[h]:
-            continue
-        claimed = np.flatnonzero(reach[h] & undecided)
-        undecided[claimed] = False
+    for h, claimed in t.claim_walk(order, reach.__getitem__):
         heads.append(h)
         assignment.update((m, h) for m in claimed.tolist() if m != h)
     head_set = frozenset(heads)

@@ -219,6 +219,37 @@ class Topology:
             self._reach[k] = m
         return self._reach[k]
 
+    def cover_walk(self, heads, pick) -> list[int]:
+        """Cover the forced ``heads``, then append ``pick(gains, covered)``
+        until every node is covered; return the heads in the order taken.
+
+        gains[v] counts the uncovered nodes v would newly cover, kept up to
+        date: when w becomes covered, every node that reaches w loses one.
+        ``pick`` must return a node of positive gain, as every uncovered node is.
+        """
+        heads = [self._check_id(v) for v in heads]
+        closed = self._closed
+        covered = closed[heads].any(axis=0)
+        gains = self.degrees + 1 - closed[covered].sum(axis=0)
+        while not covered.all():
+            v = pick(gains, covered)
+            heads.append(v)
+            newly = closed[v] & ~covered
+            covered |= newly
+            gains -= closed[newly].sum(axis=0)
+        return heads
+
+    def claim_walk(self, order, ball):
+        """Yield ``(v, claimed)`` for each node of ``order`` still unclaimed at
+        its turn: ``claimed`` holds the ids of the unclaimed nodes of the
+        boolean row ``ball(v)``, and v claims them."""
+        unclaimed = np.ones(self.n, dtype=bool)
+        for v in order:
+            if unclaimed[v]:
+                claimed = np.flatnonzero(ball(v) & unclaimed)
+                unclaimed[claimed] = False
+                yield v, claimed
+
     def edge_count(self) -> int:
         return int(self.degrees.sum()) // 2
 

@@ -62,19 +62,8 @@ def exact_min_dominating_set(t: Topology) -> OracleResult:
 def greedy_min_dominating_set(t: Topology) -> set[int]:
     """Greedy reference: repeatedly head the uncovered node that newly covers
     the most nodes (ties to the lower id) until everything is covered."""
-    closed = t.closed_neighborhood_matrix
-    # gains[v] = uncovered nodes v would newly cover, kept up to date
-    gains = (t.degrees + 1).astype(np.int64)
-    covered = np.zeros(t.n, dtype=bool)
-    heads: list[int] = []
-    while not covered.all():
-        # uncovered nodes gain >= 1 (themselves); first max: lowest id on ties
-        pick = int(np.argmax(np.where(covered, -1, gains)))
-        heads.append(pick)
-        newly = closed[pick] & ~covered
-        covered[newly] = True
-        gains -= closed[np.flatnonzero(newly)].sum(axis=0)
-    return set(heads)
+    # uncovered nodes gain >= 1 (themselves); first max: lowest id on ties
+    return set(t.cover_walk([], lambda gains, covered: int(np.argmax(np.where(covered, -1, gains)))))
 
 
 def packing_lower_bound(t: Topology) -> int:
@@ -86,13 +75,9 @@ def packing_lower_bound(t: Topology) -> int:
     its own, and no dominating set has fewer heads than there are picks.
     """
     closed = t.closed_neighborhood_matrix
-    near_pick = np.zeros(t.n, dtype=bool)
-    picks = 0
-    for v in np.argsort(t.degrees, kind="stable"):
-        if not near_pick[v]:
-            picks += 1
-            near_pick |= closed[closed[v]].any(axis=0)
-    return picks
+    # the ball is built per pick from two closed rows: reach(2) would build all n of them
+    walk = t.claim_walk(np.argsort(t.degrees, kind="stable"), lambda v: closed[closed[v]].any(axis=0))
+    return sum(1 for _ in walk)
 
 
 def lp_lower_bound(t: Topology) -> int:
