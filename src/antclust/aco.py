@@ -33,7 +33,7 @@ import numpy as np
 
 from . import oracle
 from .errors import ConfigurationError
-from .geomgraph import Topology, _is_finite, _is_int
+from .geomgraph import Topology, _is_finite, _is_id, _is_int
 
 
 @dataclass(frozen=True)
@@ -152,7 +152,7 @@ def update_pheromone(ph: np.ndarray, best_heads, params: AcoParams) -> np.ndarra
     heads = set(best_heads)
     if not heads:
         raise ValueError("best_heads must be non-empty")
-    if any(isinstance(v, bool) or not isinstance(v, (int, np.integer)) or not 0 <= v < n for v in heads):
+    if not all(_is_id(v, n) for v in heads):
         raise ValueError(f"head ids must be integers within 0..{n - 1}, got {heads!r}")
     values = ph * (1.0 - params.evaporation_rate)
     values[list(heads)] += n / len(heads)
@@ -162,8 +162,9 @@ def update_pheromone(ph: np.ndarray, best_heads, params: AcoParams) -> np.ndarra
 def construct_solution(t: Topology, ph: np.ndarray, params: AcoParams, start, rng) -> set[int]:
     """Build one dominating head set, beginning with a forced head at ``start``.
 
-    Candidates at each step are the non-head nodes that would newly cover at
-    least one node; every uncovered node qualifies, so the loop always makes
+    This is ``Topology.cover_walk`` from ``[start]`` with a roulette pick.
+    Candidates at each step are the nodes that would newly cover at least
+    one node; every uncovered node qualifies, so the walk always makes
     progress and finishes within n additions. Each pick is one roulette draw,
     ``rng.random()``, over the candidates' scores.
     """

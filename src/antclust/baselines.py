@@ -1,9 +1,10 @@
 """Classical deterministic cluster-head election schemes.
 
-All four are one ordered sweep: the nodes are ranked once by the scheme's
-key (id, degree, k-hop connectivity or combined weight; ties go to the
-lower id), and each node that is still undecided when its turn comes
-becomes a head and claims the undecided nodes of its reach row as members.
+All four are one claim walk (``Topology.claim_walk``), the walk that
+``oracle.packing_lower_bound`` also runs: the nodes are ranked once by the
+scheme's key (id, degree, k-hop connectivity or combined weight; ties go to
+the lower id), and each node that is still unclaimed when its turn comes
+becomes a head and claims the unclaimed nodes of its reach row as members.
 Consequently no two heads are ever adjacent (except for the k-hop scheme,
 whose heads are non-adjacent within k hops).
 """

@@ -7,12 +7,13 @@ range of two or more heads is a gateway, everything else is ordinary.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import NodeNotFoundError, ParseError, ValidityError
-from .geomgraph import Topology, _id_key, _is_int, _read_json_object, _write_json
+from .geomgraph import Topology, _id_key, _is_id, _is_int, _read_json_object, _write_json
 
 HEAD = "head"
 GATEWAY = "gateway"
@@ -103,13 +104,22 @@ def validate_clustering(t: Topology, c: Clustering) -> list[str]:
         problems.append(f"uncovered nodes (no head within {c.hops} hop(s)): {missing}")
 
     reach = t.reach(c.hops)
+    n = t.n
 
-    for member, h in sorted(c.assignment.items()):
-        if not (isinstance(member, int) and 0 <= member < t.n):
+    try:
+        items = sorted(c.assignment.items())
+    except TypeError:  # a key that does not compare with ints (a str, None): numbers first, then by repr
+        items = sorted(c.assignment.items(),
+                       key=lambda mh: (0, mh[0]) if isinstance(mh[0], numbers.Real) else (1, repr(mh[0])))
+    for member, h in items:
+        if not _is_id(member, n):
             problems.append(f"assignment: unknown member id {member!r}")
             continue
         if member in head_set:
             problems.append(f"assignment: node {member} is a head but is assigned to {h}")
+            continue
+        if not _is_id(h, n):
+            problems.append(f"assignment: node {member} is assigned to unknown head id {h!r}")
             continue
         if h not in head_set:
             problems.append(f"assignment: node {member} is assigned to {h}, which is not a head")

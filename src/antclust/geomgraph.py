@@ -9,6 +9,14 @@ range) is the one graph representation. Every
 "who is in range of whom" and "who is within k hops" question is answered
 from it: ``Topology.reach(k)`` is the matrix of pairs at most k hops apart,
 and ``reach(1)`` is the closed-neighbourhood matrix itself.
+
+Two walks over that matrix build every head set in the package.
+``Topology.cover_walk`` adds heads until every node is covered, keeping each
+node's gain (the uncovered nodes it would newly cover) up to date; the
+greedy reference and every ant run it. ``Topology.claim_walk`` visits the
+nodes in a fixed order, and each node still unclaimed at its turn claims a
+ball around itself; the four classical schemes and the 2-packing lower
+bound run it.
 """
 
 from __future__ import annotations
@@ -29,6 +37,12 @@ _BUILD_ROWS = 256
 
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_id(v, n: int) -> bool:
+    """A node id of an n-node topology: a non-bool int or numpy integer in 0..n-1."""
+    # a plain int first: the common case, and half the cost of the isinstance tests
+    return (type(v) is int or isinstance(v, (int, np.integer)) and type(v) is not bool) and 0 <= v < n
 
 
 def _is_finite(x) -> bool:
@@ -174,7 +188,7 @@ class Topology:
         return d
 
     def _check_id(self, v) -> int:
-        if not isinstance(v, (int, np.integer)) or isinstance(v, bool) or not 0 <= v < self.n:
+        if not _is_id(v, self.n):
             raise NodeNotFoundError(f"unknown node id {v!r} (valid ids are 0..{self.n - 1})")
         return int(v)
 

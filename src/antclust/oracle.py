@@ -61,7 +61,8 @@ def exact_min_dominating_set(t: Topology) -> OracleResult:
 
 def greedy_min_dominating_set(t: Topology) -> set[int]:
     """Greedy reference: repeatedly head the uncovered node that newly covers
-    the most nodes (ties to the lower id) until everything is covered."""
+    the most nodes (ties to the lower id) until everything is covered. This
+    is ``Topology.cover_walk`` from no forced head with an argmax pick."""
     # uncovered nodes gain >= 1 (themselves); first max: lowest id on ties
     return set(t.cover_walk([], lambda gains, covered: int(np.argmax(np.where(covered, -1, gains)))))
 
@@ -69,10 +70,11 @@ def greedy_min_dominating_set(t: Topology) -> set[int]:
 def packing_lower_bound(t: Topology) -> int:
     """Size of a greedy 2-packing: a lower bound on every dominating set.
 
-    Nodes are visited by ascending degree (ties to the lower id); a node is
-    taken unless an earlier pick lies within 2 hops of it. The picks'
-    closed neighbourhoods are pairwise disjoint, so each needs a head of
-    its own, and no dominating set has fewer heads than there are picks.
+    This is ``Topology.claim_walk`` by ascending degree (ties to the lower
+    id) with 2-hop balls: a node is taken unless an earlier pick lies within
+    2 hops of it. The picks' closed neighbourhoods are pairwise disjoint, so
+    each needs a head of its own, and no dominating set has fewer heads than
+    there are picks.
     """
     closed = t.closed_neighborhood_matrix
     # the ball is built per pick from two closed rows: reach(2) would build all n of them

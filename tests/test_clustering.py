@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from antclust.clustering import (
@@ -183,3 +184,29 @@ class TestJsonAndValidate:
                        roles={0: ORDINARY, 1: HEAD, 2: ORDINARY})
         problems = validate_clustering(path3, c)
         assert any("not assigned" in p for p in problems)
+
+    PATH4_ROLES = {0: ORDINARY, 1: HEAD, 2: HEAD, 3: ORDINARY}
+
+    @pytest.mark.parametrize("assignment, message", [
+        ({0: True, 3: 2}, "unknown head id True"),
+        ({0: 1.0, 3: 2}, "unknown head id 1.0"),
+        ({0: 7, 3: 2}, "unknown head id 7"),
+        ({0: 1, 3: 0}, "assigned to 0, which is not a head"),
+        ({False: 1, 3: 2}, "unknown member id False"),
+        ({0: 1, 3: 2, 1.0: 1}, "unknown member id 1.0"),
+        ({0: 1, 3: 2, 4: 2}, "unknown member id 4"),
+        ({"0": 1, 3: 2}, "unknown member id '0'"),
+        ({0: 1, 3: 2, None: 1}, "unknown member id None"),
+        ({0: "1", 3: 2}, "unknown head id '1'"),
+    ])
+    def test_validate_reports_bad_ids(self, path4, assignment, message):
+        c = Clustering(heads=frozenset({1, 2}), assignment=assignment, roles=self.PATH4_ROLES)
+        assert any(message in p for p in validate_clustering(path4, c))
+
+    @pytest.mark.parametrize("assignment", [
+        {np.int64(0): 1, 3: 2},
+        {0: np.int64(1), np.int32(3): np.uint8(2)},
+    ])
+    def test_validate_accepts_numpy_ids(self, path4, assignment):
+        c = Clustering(heads=frozenset({1, 2}), assignment=assignment, roles=self.PATH4_ROLES)
+        assert validate_clustering(path4, c) == []

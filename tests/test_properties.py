@@ -1,4 +1,5 @@
-"""Property tests on small generated point sets: the topology build and every solver.
+"""Property tests on small generated point sets: the topology build, its two
+walks and every solver.
 
 Point sets have 1 to 20 nodes, often with several nodes at one position,
 mostly in a 1000 x 1000 square but also anywhere in the finite floats; the
@@ -7,13 +8,13 @@ range is any positive float, from subnormal to the largest finite one.
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from antclust.aco import AcoParams
 from antclust.clustering import is_dominating, validate_clustering
 from antclust.errors import ConfigurationError
 from antclust.experiments import ALGORITHMS, ExperimentSpec, elect
-from antclust.geomgraph import Topology, TopologyConfig
+from antclust.geomgraph import Topology, TopologyConfig, generate
 from antclust.oracle import lp_lower_bound, packing_lower_bound
 
 from conftest import brute_min_dominating_size
@@ -81,3 +82,44 @@ def test_packing_lower_bound_never_exceeds_the_optimum(t):
 @given(topologies())
 def test_lp_lower_bound_lies_between_the_packing_bound_and_the_optimum(t):
     assert packing_lower_bound(t) <= lp_lower_bound(t) <= brute_min_dominating_size(t)
+
+
+@given(topologies(), st.data())
+def test_cover_walk_starts_with_the_forced_heads_and_picks_only_positive_gains(t, data):
+    forced = data.draw(st.lists(st.integers(0, t.n - 1), unique=True, max_size=t.n))
+    closed = t.closed_neighborhood_matrix
+    picked_gains = []
+
+    def greedy(gains, covered):
+        # the incremental gains equal a recount over the uncovered nodes
+        assert np.array_equal(gains, closed[:, ~covered].sum(axis=1))
+        v = int(np.argmax(np.where(covered, -1, gains)))
+        picked_gains.append(int(gains[v]))
+        return v
+
+    heads = t.cover_walk(forced, greedy)
+    assert heads[:len(forced)] == forced
+    assert len(picked_gains) == len(heads) - len(forced)
+    assert all(g > 0 for g in picked_gains)
+    assert is_dominating(t, heads)
+
+
+@given(topologies(), st.data())
+def test_claim_walk_partitions_the_nodes_into_balls(t, data):
+    order = data.draw(st.permutations(range(t.n)))
+    reach = t.reach(2)
+    claimed_all = []
+    for v, claimed in t.claim_walk(order, reach.__getitem__):
+        assert v in claimed and reach[v, claimed].all()
+        claimed_all.extend(claimed.tolist())
+    assert sorted(claimed_all) == list(range(t.n))
+
+
+# most drawn graphs are edgeless or complete, where 1-hop and 2-hop balls
+# agree; the examples are graphs where they do not
+@given(topologies())
+@example(build([(0, 0), (1, 0), (2, 0)], 1.5))
+@example(generate(TopologyConfig(n=60, range=200.0, seed=1)))
+def test_packing_lower_bound_is_the_claim_walk_over_reach_2(t):
+    walk = t.claim_walk(np.argsort(t.degrees, kind="stable"), t.reach(2).__getitem__)
+    assert packing_lower_bound(t) == sum(1 for _ in walk)
