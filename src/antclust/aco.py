@@ -44,7 +44,8 @@ class AcoParams:
     concentration; every ant picks each next head by roulette-wheel
     sampling over those scores. ``iterations`` is the most iterations a
     solve runs (it stops sooner at a certified optimum) and defaults to the
-    node count when None. Valid by construction: ``validate`` runs when it is built.
+    node count when None. Valid by construction: ``__post_init__`` checks
+    every field.
     """
 
     alpha: float = 9.0
@@ -55,9 +56,6 @@ class AcoParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        self.validate()
-
-    def validate(self) -> None:
         for name in ("alpha", "beta", "evaporation_rate"):
             value = getattr(self, name)
             if not _is_finite(value):
@@ -111,34 +109,6 @@ def _check_roulette_total(n: int, ph: np.ndarray, params: AcoParams) -> None:
                                  f"put the {n}-node selection scores outside the float range")
 
 
-def _scores(params: AcoParams, gains: np.ndarray, ph_scores: np.ndarray, cand: np.ndarray) -> np.ndarray:
-    """alpha * gain + beta * pheromone over ``cand``, given ph_scores = beta * pheromone."""
-    return params.alpha * gains[cand] + ph_scores[cand]
-
-
-def selection_probability(t: Topology, ph: np.ndarray, params: AcoParams, candidates, covered=()) -> dict[int, float]:
-    """Normalized selection probabilities over the candidate set.
-
-    P(v) = (alpha * gain(v) + beta * pheromone(v)) / sum over candidates of
-    the same, where gain(v) counts the nodes of v's closed neighbourhood
-    outside ``covered`` (degree + 1 when nothing is covered). These are the
-    scores ``construct_solution`` samples from.
-    """
-    ph = _checked_pheromone(ph, t.n)
-    _check_roulette_total(t.n, ph, params)
-    cand = sorted({t._check_id(v) for v in candidates})
-    if not cand:
-        raise ValueError("candidates must be non-empty")
-    uncovered = np.ones(t.n, dtype=bool)
-    uncovered[[t._check_id(v) for v in covered]] = False
-    gains = t.closed_neighborhood_matrix[:, uncovered].sum(axis=1)
-    scores = _scores(params, gains, params.beta * ph, np.array(cand, dtype=np.int64))
-    total = float(scores.sum())
-    if total <= 0:
-        raise ValueError("degenerate input: all selection scores are zero")
-    return {int(v): float(s) / total for v, s in zip(cand, scores)}
-
-
 def update_pheromone(ph: np.ndarray, best_heads, params: AcoParams) -> np.ndarray:
     """Evaporate everywhere, then reinforce the given heads; returns a new array.
 
@@ -166,16 +136,16 @@ def construct_solution(t: Topology, ph: np.ndarray, params: AcoParams, start, rn
     Candidates at each step are the nodes that would newly cover at least
     one node; every uncovered node qualifies, so the walk always makes
     progress and finishes within n additions. Each pick is one roulette draw,
-    ``rng.random()``, over the candidates' scores.
+    ``rng.random()``, over the candidates' scores alpha * gain + beta * pheromone.
     """
     ph = _checked_pheromone(ph, t.n)
     _check_roulette_total(t.n, ph, params)
     closed = t.closed_neighborhood_matrix
-    ph_scores = params.beta * ph
+    beta_ph = params.beta * ph
 
     def roulette(gains, covered):
         cand = np.flatnonzero(gains > 0)
-        cs = np.cumsum(_scores(params, gains, ph_scores, cand))
+        cs = np.cumsum(params.alpha * gains[cand] + beta_ph[cand])
         return int(cand[np.searchsorted(cs, rng.random() * cs[-1], side="right")])
 
     heads = t.cover_walk([start], roulette)

@@ -29,8 +29,8 @@ class WcaParams:
     The four weighting factors must sum to 1. ``ideal_degree`` is the target
     degree a head should have; ``mobility`` and ``head_tenure`` are optional
     per-node maps (average speed, cumulative time served as head) that
-    default to 0 on static snapshots. Valid by construction: ``validate``
-    runs when it is built, and the maps are kept as read-only copies.
+    default to 0 on static snapshots. Valid by construction: ``__post_init__``
+    checks every field and keeps the maps as read-only copies.
     """
 
     w1: float = 0.7
@@ -46,9 +46,6 @@ class WcaParams:
             m = getattr(self, name)
             if m is not None:
                 object.__setattr__(self, name, MappingProxyType(dict(m)))
-        self.validate()
-
-    def validate(self) -> None:
         for name in ("w1", "w2", "w3", "w4", "ideal_degree"):
             value = getattr(self, name)
             if not _is_finite(value):

@@ -111,10 +111,14 @@ def validate_clustering(t: Topology, c: Clustering) -> list[str]:
     except TypeError:  # a key that does not compare with ints (a str, None): numbers first, then by repr
         items = sorted(c.assignment.items(),
                        key=lambda mh: (0, mh[0]) if isinstance(mh[0], numbers.Real) else (1, repr(mh[0])))
+    # the valid member ids: a key that is not one (False, 0.0) must not stand
+    # for the node it equals
+    assigned = set()
     for member, h in items:
         if not _is_id(member, n):
             problems.append(f"assignment: unknown member id {member!r}")
             continue
+        assigned.add(member)
         if member in head_set:
             problems.append(f"assignment: node {member} is a head but is assigned to {h}")
             continue
@@ -127,13 +131,19 @@ def validate_clustering(t: Topology, c: Clustering) -> list[str]:
         if not reach[h, member]:
             problems.append(f"assignment: node {member} is not within {c.hops} hop(s) of its head {h}")
 
-    for v in range(t.n):
-        if v not in head_set and v not in c.assignment:
-            problems.append(f"assignment: non-head node {v} is not assigned to any head")
+    for v in sorted(set(range(n)) - head_set - assigned):
+        problems.append(f"assignment: non-head node {v} is not assigned to any head")
 
     expected_roles = compute_roles(t, head_set)
-    for v in range(t.n):
-        role = c.roles.get(v)
+    # every key a plain int id and every role as expected, as compute_roles
+    # and load_clustering build them: checked in C, with no per-node loop
+    if c.roles == expected_roles and set(map(type, c.roles)) == {int}:
+        return problems
+    # a key that is not a node id (99, -1, False) is reported and stands for no node
+    problems += [f"roles: unknown node id {v!r}" for v in c.roles if not _is_id(v, n)]
+    roles = {v: role for v, role in c.roles.items() if _is_id(v, n)}
+    for v in range(n):
+        role = roles.get(v)
         if role not in ROLES:
             problems.append(f"roles: node {v} has invalid role {role!r}")
         elif role != expected_roles[v]:

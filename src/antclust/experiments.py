@@ -42,7 +42,7 @@ DEFAULT_SEEDS = tuple(range(10))
 @dataclass(frozen=True)
 class ExperimentSpec:
     """A sweep grid, its solvers and their settings. Valid by construction:
-    the sequences are stored as tuples and ``validate`` runs when it is built.
+    ``__post_init__`` stores the sequences as tuples and checks every field.
     ``run`` seeds each colony with its topology seed, not ``aco.seed``."""
 
     node_counts: tuple[int, ...] = DEFAULT_NODE_COUNTS
@@ -60,9 +60,6 @@ class ExperimentSpec:
             if isinstance(values, str):  # tuple("hd") would read as ("h", "d")
                 raise ConfigurationError(f"{name} must be a list, not a string, got {values!r}")
             object.__setattr__(self, name, tuple(values))
-        self.validate()
-
-    def validate(self) -> None:
         if not self.node_counts or any(not _is_int(n) or n < 1 for n in self.node_counts):
             raise ConfigurationError(f"node_counts must be a non-empty list of integers >= 1, got {self.node_counts!r}")
         if not self.ranges or not all(map(_is_range, self.ranges)):
@@ -132,12 +129,6 @@ class ExperimentResult:
             Aggregate(algorithm=a, n=n, range=rg, mean=fmean(counts), min=min(counts), max=max(counts))
             for (a, n, rg), counts in sorted(groups.items())
         ]
-
-    def mean_heads(self, algorithm: str, n: int, rng: float) -> float:
-        for agg in self.aggregates():
-            if (agg.algorithm, agg.n, agg.range) == (algorithm, n, rng):
-                return agg.mean
-        raise KeyError(f"no aggregate for ({algorithm!r}, {n}, {rng})")
 
 
 def elect(t: Topology, algorithm: str, spec: ExperimentSpec) -> tuple[Clustering, int]:

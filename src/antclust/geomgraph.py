@@ -101,8 +101,8 @@ class TopologyConfig:
     """Generation parameters: node count, square side, radio range, RNG seed.
 
     ``seed`` is None for topologies loaded from a file (their positions were
-    not generated here). Valid by construction: ``validate`` runs when it
-    is built.
+    not generated here). Valid by construction: ``__post_init__`` checks
+    every field.
     """
 
     n: int
@@ -111,9 +111,6 @@ class TopologyConfig:
     seed: int | None = 0
 
     def __post_init__(self) -> None:
-        self.validate()
-
-    def validate(self) -> None:
         if not _is_int(self.n) or self.n < 1:
             raise ConfigurationError(f"n must be an integer >= 1, got {self.n!r}")
         if not (_is_finite(self.area_side) and self.area_side > 0):
@@ -193,19 +190,6 @@ class Topology:
         return int(v)
 
     # -- queries -----------------------------------------------------------
-
-    def neighbors(self, v) -> frozenset[int]:
-        """Ids of nodes strictly within range of v, excluding v itself."""
-        return self.closed_neighborhood(v) - {v}
-
-    def closed_neighborhood(self, v) -> frozenset[int]:
-        """neighbors(v) plus v itself: everything a head at v would cover."""
-        v = self._check_id(v)
-        return frozenset(int(u) for u in np.flatnonzero(self._closed[v]))
-
-    def degree(self, v) -> int:
-        v = self._check_id(v)
-        return int(self.degrees[v])
 
     def reach(self, k: int = 1) -> np.ndarray:
         """Boolean n x n matrix, True where two nodes are at most k hops apart

@@ -6,6 +6,7 @@ import math
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -46,7 +47,8 @@ def star_topology(leaves=4):
         angle = 2 * math.pi * i / max(leaves, 3)
         pts.append((1.0 + 0.95 * math.cos(angle), 1.0 + 0.95 * math.sin(angle)))
     t = make_topology(pts, 1.0)
-    assert t.degree(0) == leaves and all(t.degree(v) == 1 for v in range(1, leaves + 1))
+    closed = closed_sets(t)
+    assert closed[0] == set(range(leaves + 1)) and all(closed[v] == {0, v} for v in range(1, leaves + 1))
     return t
 
 
@@ -86,10 +88,16 @@ def random_topology(n, area_side, radio_range, seed):
     return generate(TopologyConfig(n=n, area_side=area_side, range=radio_range, seed=seed))
 
 
+def closed_sets(t):
+    """Each node's closed neighbourhood (itself and the nodes in its range)
+    as a set of ids, read from the rows of the closed-neighbourhood matrix."""
+    return [set(np.flatnonzero(row).tolist()) for row in t.closed_neighborhood_matrix]
+
+
 def brute_min_dominating_size(t):
     """Reference optimum by plain set enumeration in increasing subset size."""
     nodes = list(range(t.n))
-    closed = {v: set(t.closed_neighborhood(v)) for v in nodes}
+    closed = closed_sets(t)
     for size in range(1, t.n + 1):
         for subset in itertools.combinations(nodes, size):
             covered = set()
@@ -103,7 +111,7 @@ def brute_min_dominating_size(t):
 def greedy_reference(t):
     """Greedy dominating set by plain sets: head the uncovered node that
     newly covers the most nodes, lowest id on ties."""
-    closed = {v: set(t.closed_neighborhood(v)) for v in range(t.n)}
+    closed = closed_sets(t)
     uncovered = set(range(t.n))
     heads = set()
     while uncovered:
@@ -118,7 +126,7 @@ def two_for_one_reference(t, heads):
     for which some node covers everything the other heads leave uncovered
     is replaced by the lowest such node (or dropped when the other heads
     cover everything); repeat until no pair qualifies."""
-    closed = {v: set(t.closed_neighborhood(v)) for v in range(t.n)}
+    closed = closed_sets(t)
     hs = sorted(set(heads))
     while len(hs) >= 2:
         for a, b in itertools.combinations(hs, 2):
@@ -141,21 +149,40 @@ def two_for_one_reference(t, heads):
 def wca_weight_reference(t, v, p):
     """WCA weight of node v by a plain loop over its neighbours."""
     x, y = t.positions[v]
-    dist_sum = sum(math.dist((x, y), t.positions[u]) for u in sorted(t.neighbors(v)))
+    neighbors = sorted(closed_sets(t)[v] - {v})
+    dist_sum = sum(math.dist((x, y), t.positions[u]) for u in neighbors)
     mobility = (p.mobility or {}).get(v, 0.0)
     tenure = (p.head_tenure or {}).get(v, 0.0)
-    return p.w1 * abs(t.degree(v) - p.ideal_degree) + p.w2 * dist_sum + p.w3 * mobility + p.w4 * tenure
+    return p.w1 * abs(len(neighbors) - p.ideal_degree) + p.w2 * dist_sum + p.w3 * mobility + p.w4 * tenure
+
+
+def roulette_reference(t, ph, params, covered, u):
+    """The colony's roulette pick by plain arithmetic: the candidates are the
+    nodes that would newly cover a node outside ``covered``, in id order, and
+    the pick is the first whose cumulative share of the scores
+    alpha * gain + beta * pheromone exceeds the draw ``u`` in [0, 1)."""
+    closed = closed_sets(t)
+    cand = [v for v in range(t.n) if closed[v] - covered]
+    scores = [params.alpha * len(closed[v] - covered) + params.beta * float(ph[v]) for v in cand]
+    total = sum(scores)
+    cumulative = 0.0
+    for v, s in zip(cand, scores):
+        cumulative += s / total
+        if cumulative > u:
+            return v
+    return cand[-1]  # u above a total that rounded below 1
 
 
 def bfs_within(t, v, k):
     """Nodes at most k hops from v (v included), by plain breadth-first search."""
+    closed = closed_sets(t)
     dist = {v: 0}
     queue = collections.deque([v])
     while queue:
         u = queue.popleft()
         if dist[u] == k:
             continue
-        for w in t.neighbors(u):
+        for w in closed[u] - {u}:
             if w not in dist:
                 dist[w] = dist[u] + 1
                 queue.append(w)

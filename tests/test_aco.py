@@ -11,7 +11,6 @@ from antclust.aco import (
     AcoParams,
     construct_solution,
     improve_two_for_one,
-    selection_probability,
     solve,
     update_pheromone,
 )
@@ -20,12 +19,13 @@ from antclust.errors import ConfigurationError, NodeNotFoundError
 
 from conftest import (
     brute_min_dominating_size,
+    closed_sets,
     complete_topology,
     edgeless_topology,
-    hub_topology,
     make_topology,
     path_topology,
     random_topology,
+    roulette_reference,
     star_topology,
     two_for_one_reference,
 )
@@ -37,7 +37,7 @@ def rng_for(seed=0):
 
 class TestParams:
     def test_defaults_valid(self):
-        AcoParams().validate()
+        AcoParams()
 
     @pytest.mark.parametrize("kwargs", [
         {"alpha": -1}, {"beta": -0.5}, {"alpha": 0, "beta": 0}, {"ants": 0},
@@ -46,104 +46,13 @@ class TestParams:
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ConfigurationError):
-            AcoParams(**kwargs).validate()
+            AcoParams(**kwargs)
 
 
     @pytest.mark.parametrize("kwargs", [{"ants": True}, {"iterations": 2.0}, {"seed": False}, {"alpha": "9"}])
     def test_rejected_when_built(self, kwargs):
         with pytest.raises(ConfigurationError):
             AcoParams(**kwargs)
-
-
-class TestNodeWeight:
-    """With nothing covered, a node's weight is degree + 1."""
-
-    @staticmethod
-    def weight_share(t, v):
-        return selection_probability(t, np.zeros(t.n), AcoParams(alpha=1, beta=0), range(t.n))[v]
-
-    def test_isolated(self):
-        assert self.weight_share(edgeless_topology(3), 0) == pytest.approx(1 / 3, abs=1e-12)
-
-    def test_path_middle(self, path3):
-        assert self.weight_share(path3, 1) == pytest.approx(3 / 7, abs=1e-12)
-
-    def test_seven_neighbor_hub(self):
-        assert self.weight_share(hub_topology(7), 0) == pytest.approx(8 / 64, abs=1e-12)
-
-    def test_unknown_id(self, path3):
-        with pytest.raises(NodeNotFoundError):
-            selection_probability(path3, np.zeros(3), AcoParams(), {11})
-
-
-class TestSelectionProbability:
-    def test_path_uniform_pheromone(self, path3):
-        ph = np.zeros(3)
-        p = selection_probability(path3, ph, AcoParams(alpha=9, beta=1), {0, 1, 2})
-        assert p[1] == pytest.approx(27 / 63, abs=1e-12)
-        assert p[0] == pytest.approx(18 / 63, abs=1e-12)
-        assert sum(p.values()) == pytest.approx(1.0, abs=1e-9)
-
-    def test_path_with_pheromone(self, path3):
-        ph = np.array([0.0, 7.0, 0.0])
-        p = selection_probability(path3, ph, AcoParams(alpha=9, beta=1), {0, 1, 2})
-        assert p[1] == pytest.approx(34 / 70, abs=1e-12)
-
-    def test_regular_graph_uniform(self):
-        t = complete_topology(4)
-        ph = np.array([3.0, 3.0, 3.0, 3.0])
-        p = selection_probability(t, ph, AcoParams(), {0, 1, 2, 3})
-        for v in range(4):
-            assert p[v] == pytest.approx(0.25, abs=1e-12)
-
-    def test_empty_candidates(self, path3):
-        with pytest.raises(ValueError, match="non-empty"):
-            selection_probability(path3, np.zeros(3), AcoParams(), set())
-
-    def test_zero_denominator(self, path3):
-        # every candidate's neighbourhood is covered and carries no pheromone
-        with pytest.raises(ValueError, match="degenerate"):
-            selection_probability(path3, np.zeros(3), AcoParams(), {0, 1}, covered={0, 1, 2})
-
-    def test_scaling_alpha_beta_leaves_probabilities_unchanged(self):
-        rng = rng_for(7)
-        for _ in range(20):
-            t = random_topology(int(rng.integers(3, 25)), 100, float(rng.uniform(15, 60)),
-                                seed=int(rng.integers(1 << 16)))
-            ph = np.array(rng.uniform(0, 40, size=t.n))
-            alpha, beta = float(rng.uniform(0.1, 15)), float(rng.uniform(0.1, 15))
-            c = float(rng.uniform(0.01, 50))
-            cand = set(int(v) for v in rng.choice(t.n, size=max(1, t.n // 2), replace=False))
-            p1 = selection_probability(t, ph, AcoParams(alpha=alpha, beta=beta), cand)
-            p2 = selection_probability(t, ph, AcoParams(alpha=c * alpha, beta=c * beta), cand)
-            assert max(p1, key=p1.get) == max(p2, key=p2.get)
-            for v in p1:
-                assert p1[v] == pytest.approx(p2[v], abs=1e-12)
-                assert 0.0 <= p1[v] <= 1.0
-
-
-class TestCoverageGain:
-    """With ``covered`` given, the gain counts only uncovered closed-neighbourhood nodes."""
-
-    def test_nothing_covered(self):
-        t = random_topology(20, 100, 30, seed=1)
-        p = selection_probability(t, np.zeros(t.n), AcoParams(alpha=1, beta=0), range(t.n), covered=set())
-        total = float((t.degrees + 1).sum())
-        for v in range(t.n):
-            assert p[v] == pytest.approx((t.degree(v) + 1) / total, abs=1e-12)
-
-    def test_everything_covered(self, path4):
-        ph = np.array([0.0, 0.0, 1.0, 3.0])
-        p = selection_probability(path4, ph, AcoParams(), {2, 3}, covered=set(range(4)))
-        assert p[2] == pytest.approx(0.25, abs=1e-12)
-
-    def test_partial(self, path4):
-        p = selection_probability(path4, np.zeros(4), AcoParams(alpha=1, beta=0), {1, 2}, covered={0, 1})
-        assert p[2] == pytest.approx(2 / 3, abs=1e-12)
-
-    def test_unknown_covered_id(self, path4):
-        with pytest.raises(NodeNotFoundError):
-            selection_probability(path4, np.zeros(4), AcoParams(), {1}, covered={9})
 
 
 class TestConstruct:
@@ -179,9 +88,7 @@ class TestConstruct:
 
         ph = np.array(ph)
         params = AcoParams()
-        p = selection_probability(path4, ph, params, {1, 2, 3}, covered=path4.closed_neighborhood(0))
-        cumulative = np.cumsum([p[v] for v in (1, 2, 3)])
-        second = (1, 2, 3)[int(np.argmax(cumulative > u))]
+        second = roulette_reference(path4, ph, params, closed_sets(path4)[0], u)
         assert second in (2, 3)
         # the start and the second head cover the path, so one draw ends the
         # construction and both heads are kept
@@ -192,7 +99,7 @@ class TestConstruct:
     @pytest.mark.parametrize("seed, ph_scale", [(0, 0.0), (1, 0.0), (2, 3.0), (3, 40.0)])
     def test_one_draw_per_pick_matches_plain_reference(self, seed, ph_scale):
         """Replaying the same draws, a plain-set construction that picks by
-        ``selection_probability`` adds the same heads; each head after the
+        ``roulette_reference`` adds the same heads; each head after the
         start takes exactly one ``random()`` draw and nothing else."""
         class CountingDraws:
             def __init__(self, seed):
@@ -213,12 +120,10 @@ class TestConstruct:
         rng = CountingDraws(100 + seed)
         heads = construct_solution(t, ph, params, start, rng)
 
-        closed = {v: set(t.closed_neighborhood(v)) for v in range(t.n)}
+        closed = closed_sets(t)
         picks, covered = [start], set(closed[start])
         for u in rng.draws:
-            cand = sorted(v for v in range(t.n) if closed[v] - covered)
-            p = selection_probability(t, ph, params, cand, covered=covered)
-            pick = cand[int(np.argmax(np.cumsum([p[v] for v in cand]) > u))]
+            pick = roulette_reference(t, ph, params, covered, u)
             picks.append(pick)
             covered |= closed[pick]
         assert len(covered) == t.n and len(picks) == len(rng.draws) + 1
@@ -245,8 +150,11 @@ class TestConstruct:
         ph, params = np.ones(t.n), AcoParams(**kwargs)
         with pytest.raises(ConfigurationError, match="float range"):
             construct_solution(t, ph, params, 0, rng_for(1))
-        with pytest.raises(ConfigurationError, match="float range"):
-            selection_probability(t, ph, params, range(t.n))
+
+    def test_unknown_start_id(self, path4):
+        for start in (-1, 4, "x", True):
+            with pytest.raises(NodeNotFoundError):
+                construct_solution(path4, np.zeros(4), AcoParams(), start, rng_for())
 
     def test_contains_start(self):
         t = random_topology(25, 120, 40, seed=9)
@@ -288,6 +196,11 @@ class TestImproveTwoForOne:
             partial = set(int(v) for v in rng.choice(n, size=int(rng.integers(2, n // 2 + 2)), replace=False))
             for heads in (built, padded, partial):
                 assert improve_two_for_one(t, heads) == two_for_one_reference(t, heads)
+
+    def test_unknown_id(self, path4):
+        for head in (-1, 4, "x", True):
+            with pytest.raises(NodeNotFoundError):
+                improve_two_for_one(path4, {0, head})
 
     def test_deterministic(self):
         t = random_topology(60, 300, 70, seed=3)

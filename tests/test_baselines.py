@@ -9,6 +9,7 @@ from antclust.clustering import clustering_to_dict, is_dominating, validate_clus
 from antclust.errors import ConfigurationError
 
 from conftest import (
+    closed_sets,
     edgeless_topology,
     make_topology,
     path_topology,
@@ -19,8 +20,8 @@ from conftest import (
 
 
 def heads_independent(t, heads):
-    heads = sorted(heads)
-    return all(v not in t.neighbors(u) for i, u in enumerate(heads) for v in heads[i + 1:])
+    heads, closed = sorted(heads), closed_sets(t)
+    return all(v not in closed[u] for i, u in enumerate(heads) for v in heads[i + 1:])
 
 
 class TestLowestId:
@@ -116,7 +117,7 @@ class TestWcaWeight:
 
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ConfigurationError, match="w1"):
-            WcaParams(w1=0.5, w2=0.2, w3=0.1, w4=0.1).validate()
+            WcaParams(w1=0.5, w2=0.2, w3=0.1, w4=0.1)
 
     @pytest.mark.parametrize("kwargs", [
         {"w1": True, "w2": 0, "w3": 0, "w4": 0},

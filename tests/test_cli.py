@@ -190,6 +190,19 @@ class TestVerify:
         assert r.returncode == 1
         assert "not within 1 hop" in r.stdout
 
+    def test_detects_role_key_that_is_not_a_node(self, tmp_path, path4_file):
+        doc = {
+            "heads": [1, 2],
+            "assignment": {"0": 1, "3": 2},
+            "roles": {"0": "ordinary", "1": "head", "2": "head", "3": "ordinary", "99": "head"},
+            "hops": 1,
+        }
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        r = cli("verify", "--graph", path4_file, "--clustering", bad)
+        assert r.returncode == 1
+        assert "VIOLATION: roles: unknown node id 99" in r.stdout
+
     def test_malformed_clustering_exit_2(self, tmp_path, path4_file):
         bad = tmp_path / "bad.json"
         bad.write_text("{]")

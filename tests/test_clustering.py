@@ -19,6 +19,7 @@ from antclust.errors import NodeNotFoundError, ParseError, ValidityError
 from antclust.oracle import greedy_min_dominating_set
 
 from conftest import (
+    closed_sets,
     make_topology,
     path_topology,
     random_topology,
@@ -83,8 +84,9 @@ class TestAssignMembers:
             t = random_topology(30, 150, 40, seed=seed)
             heads = greedy_min_dominating_set(t)
             c = assign_members(t, heads)
+            closed = closed_sets(t)
             for m, h in c.assignment.items():
-                assert h in t.neighbors(m)
+                assert h in closed[m] and h != m
 
     def test_succeeds_iff_dominating(self):
         for seed in range(8):
@@ -198,10 +200,27 @@ class TestJsonAndValidate:
         ({"0": 1, 3: 2}, "unknown member id '0'"),
         ({0: 1, 3: 2, None: 1}, "unknown member id None"),
         ({0: "1", 3: 2}, "unknown head id '1'"),
+        # a key that is not a node id does not assign the node it equals
+        ({False: 1, 3: 2}, "non-head node 0 is not assigned"),
+        ({0.0: 1, 3: 2}, "non-head node 0 is not assigned"),
     ])
     def test_validate_reports_bad_ids(self, path4, assignment, message):
         c = Clustering(heads=frozenset({1, 2}), assignment=assignment, roles=self.PATH4_ROLES)
         assert any(message in p for p in validate_clustering(path4, c))
+
+    @pytest.mark.parametrize("roles, messages", [
+        ({**PATH4_ROLES, 99: HEAD, -1: ORDINARY}, ["roles: unknown node id 99", "roles: unknown node id -1"]),
+        ({**PATH4_ROLES, "0": ORDINARY}, ["roles: unknown node id '0'"]),
+        ({**PATH4_ROLES, None: HEAD, 4: ORDINARY}, ["roles: unknown node id None", "roles: unknown node id 4"]),
+        # a key that is not a node id gives no role to the node it equals
+        ({False: ORDINARY, 1: HEAD, 2: HEAD, 3: ORDINARY},
+         ["roles: unknown node id False", "roles: node 0 has invalid role None"]),
+        ({0.0: ORDINARY, 1: HEAD, 2: HEAD, 3: ORDINARY},
+         ["roles: unknown node id 0.0", "roles: node 0 has invalid role None"]),
+    ])
+    def test_validate_reports_stray_role_keys(self, path4, roles, messages):
+        c = Clustering(heads=frozenset({1, 2}), assignment={0: 1, 3: 2}, roles=roles)
+        assert validate_clustering(path4, c) == messages
 
     @pytest.mark.parametrize("assignment", [
         {np.int64(0): 1, 3: 2},

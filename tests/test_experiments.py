@@ -38,15 +38,15 @@ def tiny_spec(**overrides):
 class TestSpecValidation:
     def test_empty_seeds(self):
         with pytest.raises(ConfigurationError, match="seeds"):
-            tiny_spec(seeds=()).validate()
+            tiny_spec(seeds=())
 
     def test_unknown_algorithm(self):
         with pytest.raises(ConfigurationError, match="unknown algorithm"):
-            tiny_spec(algorithms=("simulated-annealing",)).validate()
+            tiny_spec(algorithms=("simulated-annealing",))
 
     def test_bad_node_count(self):
         with pytest.raises(ConfigurationError, match="node_counts"):
-            tiny_spec(node_counts=(0,)).validate()
+            tiny_spec(node_counts=(0,))
 
     @pytest.mark.parametrize("overrides", [
         {"node_counts": (12, 16, 12)}, {"ranges": (120, 120.0)}, {"seeds": (0, 1, 0)},
@@ -82,7 +82,6 @@ class TestSpecValidation:
 
     def test_defaults_are_the_benchmark_grid(self):
         spec = ExperimentSpec()
-        spec.validate()
         assert spec.node_counts == (50, 100, 200, 300, 400)
         assert spec.ranges == (200.0, 300.0, 400.0)
         assert spec.area_side == 1000.0

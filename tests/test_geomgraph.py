@@ -5,11 +5,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from antclust.clustering import is_dominating
 from antclust.errors import ConfigurationError, NodeNotFoundError, ParseError
 from antclust.geomgraph import Topology, TopologyConfig, generate, load, save
 
 from conftest import (
     bfs_within,
+    closed_sets,
     complete_topology,
     edgeless_topology,
     hub_topology,
@@ -33,27 +35,27 @@ TEST_BUILDERS = {
 class TestConfig:
     def test_invalid_n(self):
         with pytest.raises(ConfigurationError, match="n"):
-            TopologyConfig(n=0).validate()
+            TopologyConfig(n=0)
 
     def test_invalid_area(self):
         with pytest.raises(ConfigurationError, match="area_side"):
-            TopologyConfig(n=3, area_side=0).validate()
+            TopologyConfig(n=3, area_side=0)
 
     def test_invalid_range(self):
         with pytest.raises(ConfigurationError, match="range"):
-            TopologyConfig(n=3, range=-1).validate()
+            TopologyConfig(n=3, range=-1)
 
     def test_range_whose_square_underflows_rejected(self):
         # the build compares squared distances with range², and a node's own
         # distance 0 must stay in range
         with pytest.raises(ConfigurationError, match="range"):
             TopologyConfig(n=3, range=1e-170)
-        assert Topology(TopologyConfig(n=2, range=1e-150, seed=None), [(0, 0), (0, 0)]).degree(0) == 1
+        assert Topology(TopologyConfig(n=2, range=1e-150, seed=None), [(0, 0), (0, 0)]).degrees[0] == 1
 
     @pytest.mark.parametrize("field", ["n", "area_side", "range", "seed"])
     def test_bool_rejected(self, field):
         with pytest.raises(ConfigurationError, match=field):
-            TopologyConfig(**{"n": 3, field: True}).validate()
+            TopologyConfig(**{"n": 3, field: True})
 
     @pytest.mark.parametrize("field", ["area_side", "range"])
     def test_int_too_large_for_a_float_rejected(self, field):
@@ -70,7 +72,7 @@ class TestGenerate:
         t = generate(TopologyConfig(n=1, area_side=50, range=10, seed=7))
         assert t.n == 1
         assert t.edge_count() == 0
-        assert t.neighbors(0) == frozenset()
+        assert closed_sets(t) == [{0}]
 
     def test_structural_200_nodes(self):
         # 200 nodes, range 200 over a 1000-side square: a well-connected
@@ -94,44 +96,42 @@ class TestGenerate:
 class TestNeighbors:
     def test_strict_boundary_excluded(self):
         t = make_topology([(0, 0), (3, 4)], 5.0)
-        assert t.neighbors(0) == frozenset()
+        assert closed_sets(t) == [{0}, {1}]
 
     def test_just_inside_included(self):
         t = make_topology([(0, 0), (3, 4)], 5.01)
-        assert t.neighbors(0) == frozenset({1})
-        assert t.neighbors(1) == frozenset({0})
+        assert closed_sets(t) == [{0, 1}, {0, 1}]
 
     def test_isolated(self):
         t = make_topology([(0, 0), (100, 100)], 5.0)
-        assert t.neighbors(0) == frozenset()
+        assert closed_sets(t) == [{0}, {1}]
 
-    def test_unknown_id(self):
-        t = path_topology(3)
-        for bad in (-1, 3, "x"):
+    def test_unknown_id(self, path3):
+        for bad in (-1, 3, "x", True):
             with pytest.raises(NodeNotFoundError):
-                t.neighbors(bad)
+                path3.cover_walk([0, bad], lambda gains, covered: 0)
 
     def test_degree_matches_neighbors(self):
         t = random_topology(40, 100, 30, seed=5)
-        for v in range(t.n):
-            assert t.degree(v) == len(t.neighbors(v))
+        assert t.degrees.tolist() == [len(closed) - 1 for closed in closed_sets(t)]
 
 
 class TestClosedNeighborhood:
     def test_isolated(self):
         t = make_topology([(0, 0), (50, 50)], 1.0)
-        assert t.closed_neighborhood(0) == frozenset({0})
+        assert closed_sets(t)[0] == {0}
 
     def test_star_center(self):
         t = star_topology(3)
-        assert t.closed_neighborhood(0) == frozenset({0, 1, 2, 3})
+        assert closed_sets(t)[0] == {0, 1, 2, 3}
 
     def test_path_middle(self, path3):
-        assert path3.closed_neighborhood(1) == frozenset({0, 1, 2})
+        assert closed_sets(path3)[1] == {0, 1, 2}
 
     def test_unknown_id(self, path3):
-        with pytest.raises(NodeNotFoundError):
-            path3.closed_neighborhood(9)
+        for bad in (-1, 3, "x", True):
+            with pytest.raises(NodeNotFoundError):
+                is_dominating(path3, {0, bad})
 
 
 def _within(t, v, k):
@@ -144,8 +144,8 @@ class TestKHop:
 
     def test_k1_equals_neighbors(self):
         t = random_topology(35, 100, 25, seed=9)
-        for v in range(t.n):
-            assert _within(t, v, 1) == t.closed_neighborhood(v)
+        for v, closed in enumerate(closed_sets(t)):
+            assert _within(t, v, 1) == closed
 
     def test_complete_graph(self):
         t = complete_topology(6)
@@ -158,13 +158,14 @@ class TestKHop:
 
     def test_full_depth_reaches_component(self):
         t = random_topology(30, 200, 40, seed=3)
+        closed = closed_sets(t)
         for v in range(t.n):
             # component of v via plain BFS
             seen = {v}
             queue = [v]
             while queue:
                 u = queue.pop()
-                for w in t.neighbors(u):
+                for w in closed[u]:
                     if w not in seen:
                         seen.add(w)
                         queue.append(w)
@@ -226,10 +227,7 @@ class TestAdjacencyProperties:
 
     def test_closed_neighborhoods_cover_everything(self):
         t = random_topology(50, 300, 50, seed=2)
-        union = set()
-        for v in range(t.n):
-            union |= t.closed_neighborhood(v)
-        assert union == set(range(t.n))
+        assert set().union(*closed_sets(t)) == set(range(t.n))
 
     def test_matrices_read_only(self):
         t = path_topology(3)

@@ -2,9 +2,14 @@
 walks and every solver.
 
 Point sets have 1 to 20 nodes, often with several nodes at one position,
-mostly in a 1000 x 1000 square but also anywhere in the finite floats; the
-range is any positive float, from subnormal to the largest finite one.
+mostly in a 1000 x 1000 square but also anywhere in the finite floats. The
+build's own test takes any positive float as the range, from subnormal to
+the largest finite one; the other properties take a share of the points'
+largest distance, so that most of their graphs are neither edgeless nor
+complete.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -21,8 +26,6 @@ from conftest import brute_min_dominating_size
 
 coordinate = st.one_of(st.floats(0.0, 1000.0), st.floats(allow_nan=False, allow_infinity=False))
 any_range = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
-# ranges of the scale of the square, so that graphs are neither all edgeless nor all complete
-useful_range = st.one_of(st.floats(1.0, 1500.0), any_range)
 
 
 @st.composite
@@ -39,8 +42,15 @@ def build(points, radio_range):
 
 @st.composite
 def topologies(draw):
-    points, radio_range = draw(point_sets()), draw(useful_range)
-    assume(radio_range * radio_range > 0)
+    """A point set and a range of 5 % to 100 % of the points' largest
+    distance; any positive range where that product is 0, not finite or has
+    a square that underflows."""
+    points = draw(point_sets())
+    spread = max(math.dist(p, q) for p in points for q in points)
+    radio_range = draw(st.floats(0.05, 1.0)) * spread
+    if not (radio_range * radio_range > 0 and math.isfinite(radio_range)):
+        radio_range = draw(any_range)
+        assume(radio_range * radio_range > 0)
     return build(points, radio_range)
 
 
@@ -115,8 +125,8 @@ def test_claim_walk_partitions_the_nodes_into_balls(t, data):
     assert sorted(claimed_all) == list(range(t.n))
 
 
-# most drawn graphs are edgeless or complete, where 1-hop and 2-hop balls
-# agree; the examples are graphs where they do not
+# 1-hop and 2-hop balls agree on most drawn graphs; the examples are graphs
+# where they do not
 @given(topologies())
 @example(build([(0, 0), (1, 0), (2, 0)], 1.5))
 @example(generate(TopologyConfig(n=60, range=200.0, seed=1)))
